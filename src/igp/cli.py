@@ -17,11 +17,12 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import load_corpus
-from .evaluate import spearman
+from .evaluate import normalized_token_efficiency, spearman
 from .pipeline import (
     RERANK_METHODS,
     RolloutCache,
     RunConfig,
+    make_backend,
     read_summary_csv,
     run_dataset,
     write_summary_csv,
@@ -154,24 +155,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for param, grid in axes:
         points = [dict(p, **{param: v}) for p in points for v in grid]
 
-    # One shared cache: rollouts probed for one grid point are reused wherever
-    # the point's (prompt, max-token) pair is unchanged. The no-evidence
-    # rollout is probed once per query across a whole tp or topm grid. When
-    # the Top-K width is swept, everything is probed once at the widest K and
-    # the uncertainty math re-derives each narrower width from the recorded
-    # steps.
+    # One backend behind one shared cache: rollouts probed for one grid point
+    # are reused wherever the point's (prompt, max-token) pair is unchanged.
+    # The no-evidence rollout is probed once per query across a whole tp or
+    # topm grid. When the Top-K width is swept, everything is probed once at
+    # the widest K and the uncertainty math re-derives each narrower width
+    # from the recorded steps.
     probe_k = None
     for param, grid in axes:
         if param == "topk":
             probe_k = max(grid)
-    cache = RolloutCache(probe_k=probe_k)
+    backend = RolloutCache(make_backend(base), probe_k=probe_k)
 
     rows = []
     exit_code = 0
     for i, assignment in enumerate(points):
         label = "_".join(f"{p}={v}" for p, v in assignment.items())
         config = _point_config(base, assignment, sweep_dir / f"point_{i:03d}_{label}")
-        result = run_dataset(config, cache=cache)
+        result = run_dataset(config, backend=backend)
         if result.failure_rate > config.failure_ceiling:
             exit_code = 1
         row = dict(result.summary)
@@ -201,10 +202,12 @@ def pareto_rows(rows: list[dict]) -> list[dict]:
     }
     for row in out:
         f1, tk = _as_float(row["f1"]), _as_float(row["tk"])
-        if not row.get("nte"):
-            base = baselines.get(row["topm"])
-            if base and None not in (f1, tk) and base[0] and base[1] and tk:
-                row["nte"] = (f1 / tk) / (base[0] / base[1])
+        base = baselines.get(row["topm"])
+        if not row.get("nte") and base and None not in (f1, tk, *base):
+            try:
+                row["nte"] = normalized_token_efficiency(f1, tk, *base)
+            except ValueError:
+                pass
     for row in out:
         f1, tk = _as_float(row["f1"]), _as_float(row["tk"])
         if f1 is None or tk is None:

@@ -101,6 +101,18 @@ class DatasetSummary:
     nte: Optional[float] = None
 
 
+def normalized_token_efficiency(
+    f1: float, tk: float, base_f1: float, base_tk: float
+) -> float:
+    """Quality per token relative to a baseline: (f1/tk) / (base_f1/base_tk).
+    Undefined, and an error, when a token mean or the baseline F1 is zero."""
+    if tk == 0 or base_tk == 0 or base_f1 == 0:
+        raise ValueError(
+            "NTE undefined: requires nonzero token means and nonzero baseline F1"
+        )
+    return (f1 / tk) / (base_f1 / base_tk)
+
+
 def dataset_summary(
     results: Sequence[SampleResult],
     baseline: Optional[DatasetSummary] = None,
@@ -116,11 +128,9 @@ def dataset_summary(
     tk_mean = math.fsum(r.input_tokens for r in results) / n
     nte: Optional[float] = None
     if baseline is not None:
-        if tk_mean == 0 or baseline.tk_mean == 0 or baseline.f1_mean == 0:
-            raise ValueError(
-                "NTE undefined: requires nonzero token means and nonzero baseline F1"
-            )
-        nte = (f1_mean / tk_mean) / (baseline.f1_mean / baseline.tk_mean)
+        nte = normalized_token_efficiency(
+            f1_mean, tk_mean, baseline.f1_mean, baseline.tk_mean
+        )
     return DatasetSummary(n_samples=n, f1_mean=f1_mean, tk_mean=tk_mean, nte=nte)
 
 

@@ -1,5 +1,5 @@
-"""End-to-end run engine: configuration, per-query records, the probing
-rollout cache used by sweeps, and dataset-level aggregation.
+"""End-to-end run engine: configuration, per-query records, the rollout-
+caching backend used by sweeps, and dataset-level aggregation.
 
 Each run writes one directory: a config snapshot, per-query records as
 JSON-Lines, and a one-row summary CSV. Records are replayable: a record plus
@@ -34,8 +34,6 @@ from .core import (
 )
 from .evaluate import (
     QrelSet,
-    SampleResult,
-    dataset_summary,
     f1_best_of_refs,
     is_closed_set_yes_no,
     load_qrels,
@@ -154,39 +152,49 @@ class CountingBackend(ProbeBackend):
         return self._inner.complete_text(prompt, max_tokens)
 
 
-class RolloutCache:
-    """Memoizes probing rollouts across the runs of a sweep.
+class RolloutCache(ProbeBackend):
+    """Backend wrapper that memoizes greedy rollouts across the runs of a
+    sweep.
 
     Keyed by (prompt hash, max-token cap). The Top-K width is not part of the
     key: a rollout probed at some width serves any smaller width, since the
-    uncertainty math truncates the recorded entries itself. A cached rollout
-    probed at a narrower width than requested is re-probed.
+    uncertainty math truncates the recorded entries itself. With ``probe_k``
+    set, misses are probed at least that wide. A cached rollout probed at a
+    narrower width than requested is re-probed. Every other call goes to the
+    inner backend uncached and unwidened.
     """
 
-    def __init__(self, probe_k: Optional[int] = None):
+    def __init__(self, inner: ProbeBackend, probe_k: Optional[int] = None):
+        self._inner = inner
         self._probe_k = probe_k
         self._lock = threading.Lock()
         self._store: dict[tuple[str, int], tuple[int, Rollout]] = {}
         self.hits = 0
         self.misses = 0
 
-    def source(self, backend: ProbeBackend, cfg: ProbeConfig):
-        probe_cfg = cfg if self._probe_k is None else replace(cfg, top_k=max(cfg.top_k, self._probe_k))
+    def greedy_rollout(self, prompt, cfg):
+        key = (hashlib.sha256(prompt.encode("utf-8")).hexdigest(), cfg.max_tokens)
+        with self._lock:
+            cached = self._store.get(key)
+            if cached is not None and cached[0] >= cfg.top_k:
+                self.hits += 1
+                return cached[1]
+        if self._probe_k is not None:
+            cfg = replace(cfg, top_k=max(cfg.top_k, self._probe_k))
+        rollout = self._inner.greedy_rollout(prompt, cfg)
+        with self._lock:
+            self._store[key] = (cfg.top_k, rollout)
+            self.misses += 1
+        return rollout
 
-        def fetch(prompt: str) -> Rollout:
-            key = (hashlib.sha256(prompt.encode("utf-8")).hexdigest(), probe_cfg.max_tokens)
-            with self._lock:
-                cached = self._store.get(key)
-                if cached is not None and cached[0] >= cfg.top_k:
-                    self.hits += 1
-                    return cached[1]
-            rollout = backend.greedy_rollout(prompt, probe_cfg)
-            with self._lock:
-                self._store[key] = (probe_cfg.top_k, rollout)
-                self.misses += 1
-            return rollout
+    def force_score(self, prompt, continuation, cfg):
+        return self._inner.force_score(prompt, continuation, cfg)
 
-        return fetch
+    def first_step_distribution(self, prompt, cfg):
+        return self._inner.first_step_distribution(prompt, cfg)
+
+    def complete_text(self, prompt, max_tokens):
+        return self._inner.complete_text(prompt, max_tokens)
 
 
 @dataclass
@@ -236,7 +244,6 @@ def rerank_candidates(
     backend: ProbeBackend,
     config: RunConfig,
     prompts: PromptBundle = DEFAULT_PROMPTS,
-    rollout_source=None,
 ) -> RankedList:
     """Dispatch to the configured rerank method. "ig" is pure information-
     gain reordering (threshold disabled); "none" keeps retriever order."""
@@ -256,7 +263,6 @@ def rerank_candidates(
             prompts=prompts,
             parallelism=config.parallelism,
             common_horizon=config.common_horizon,
-            rollout_source=rollout_source,
         )
     if method == "qlm":
         return qlm_rerank(
@@ -286,7 +292,6 @@ def run_query(
     config: RunConfig,
     qrels: Optional[QrelSet] = None,
     prompts: PromptBundle = DEFAULT_PROMPTS,
-    rollout_source=None,
 ) -> RunRecord:
     """retrieve -> rerank -> truncate -> render -> (generate) -> score."""
     counting = CountingBackend(backend)
@@ -297,9 +302,7 @@ def run_query(
         Bm25Params(top_n=config.top_n),
         query_id=query.id,
     )
-    ranked = rerank_candidates(
-        query, candidates, counting, config, prompts, rollout_source
-    )
+    ranked = rerank_candidates(query, candidates, counting, config, prompts)
     t_rerank = time.monotonic()
     selected = truncate(ranked, config.budget, whitespace_token_count)
     prompt = render_answer_prompt(query, selected.passages, prompts)
@@ -370,7 +373,6 @@ class RunResult:
 def run_dataset(
     config: RunConfig,
     backend: Optional[ProbeBackend] = None,
-    cache: Optional[RolloutCache] = None,
     prompts: PromptBundle = DEFAULT_PROMPTS,
 ) -> RunResult:
     """Run the whole dataset, persist records and the summary row, and return
@@ -383,7 +385,6 @@ def run_dataset(
         queries = [q for q in queries if q.gold_answers and q.id in qrels]
     if backend is None:
         backend = make_backend(config)
-    rollout_source = cache.source(backend, config.probe_config) if cache else None
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -393,9 +394,7 @@ def run_dataset(
 
     def process(query: Query) -> RunRecord:
         try:
-            return run_query(
-                query, index, backend, config, qrels, prompts, rollout_source
-            )
+            return run_query(query, index, backend, config, qrels, prompts)
         except Exception as exc:
             return RunRecord(
                 query_id=query.id,
@@ -424,20 +423,9 @@ def run_dataset(
     ok = [r for r in records if r.error is None]
     failed = len(records) - len(ok)
 
-    f1_values = [r.f1 for r in ok if r.f1 is not None]
+    f1_mean = _mean([r.f1 for r in ok if r.f1 is not None])
+    tk_mean = _mean([float(r.input_tokens) for r in ok])
     ndcg_values = [r.ndcg for r in ok if r.ndcg is not None]
-    if ok and len(f1_values) == len(ok):
-        agg = dataset_summary(
-            [
-                SampleResult(r.query_id, r.prediction or "", r.f1, r.input_tokens, r.ndcg)
-                for r in ok
-            ]
-        )
-        f1_mean, tk_mean, n = agg.f1_mean, agg.tk_mean, agg.n_samples
-    else:
-        f1_mean = _mean(f1_values)
-        tk_mean = _mean([float(r.input_tokens) for r in ok])
-        n = len(ok)
 
     summary = {
         "method": config.rerank,
@@ -447,7 +435,7 @@ def run_dataset(
         "tk": tk_mean if tk_mean is not None else "",
         "nte": "",
         "ndcg": _mean(ndcg_values) if ndcg_values else "",
-        "n": n,
+        "n": len(ok),
     }
 
     with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:

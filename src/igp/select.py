@@ -29,7 +29,7 @@ from .core import (
     Query,
     render_probe_prompt,
 )
-from .probe import ProbeBackend, ProbeConfig, Rollout, UnsupportedCapabilityError
+from .probe import ProbeBackend, ProbeConfig, UnsupportedCapabilityError
 from .uncertainty import (
     IgScore,
     information_gain_from_rollouts,
@@ -60,7 +60,6 @@ def whitespace_token_count(text: str) -> int:
 
 
 TokenCounter = Callable[[str], int]
-RolloutSource = Callable[[str], Rollout]
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,48 @@ def _map_candidates(
         return list(pool.map(fn, range(count)))
 
 
+def _score_candidates(
+    candidates: CandidateSet,
+    score_kind: str,
+    score: Callable[[Passage], tuple[float, bool, Optional[IgScore]]],
+    parallelism: int,
+) -> RankedList:
+    """The loop every generator-scored rerank shares: ``score`` maps one
+    passage to (score, admitted, IG detail), candidates fan out up to
+    ``parallelism`` workers, and any exception other than
+    ``BaselineUnavailableError`` becomes a rejected entry carrying the error.
+    """
+
+    def entry(i: int) -> RankedEntry:
+        passage, retriever_score = candidates.candidates[i]
+        try:
+            value, admitted, ig = score(passage)
+        except BaselineUnavailableError:
+            raise
+        except Exception as exc:
+            return RankedEntry(
+                passage=passage,
+                score=-math.inf,
+                score_kind=score_kind,
+                admitted=False,
+                retriever_rank=i,
+                retriever_score=retriever_score,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        return RankedEntry(
+            passage=passage,
+            score=value,
+            score_kind=score_kind,
+            admitted=admitted,
+            retriever_rank=i,
+            retriever_score=retriever_score,
+            ig=ig,
+        )
+
+    entries = _map_candidates(entry, len(candidates.candidates), parallelism)
+    return RankedList(query_id=candidates.query_id, entries=_sort_entries(entries))
+
+
 def igp_rerank(
     query: Query,
     candidates: CandidateSet,
@@ -127,58 +168,32 @@ def igp_rerank(
     prompts: PromptBundle = DEFAULT_PROMPTS,
     parallelism: int = 1,
     common_horizon: bool = False,
-    rollout_source: Optional[RolloutSource] = None,
 ) -> RankedList:
     """Rerank candidates by information gain and admit those with IG >= t_p.
 
     The no-evidence rollout is probed exactly once and shared across all
     candidates; the per-candidate conditional rollouts fan out concurrently
     up to ``parallelism`` workers. Passing ``t_p = -inf`` disables pruning and
-    reduces to pure IG reordering. A ``rollout_source`` can be injected to
-    serve rollouts from a cache instead of probing.
+    reduces to pure IG reordering.
     """
     if not candidates.candidates:
         raise ValueError("candidates must be non-empty")
-    probe: RolloutSource = rollout_source or (
-        lambda p: backend.greedy_rollout(p, cfg)
-    )
     # Unconditional NU unavailable means no candidate can be scored: abort.
-    uncond = probe(render_probe_prompt(query, None, prompts))
+    uncond = backend.greedy_rollout(render_probe_prompt(query, None, prompts), cfg)
 
-    def score(i: int) -> RankedEntry:
-        passage, retriever_score = candidates.candidates[i]
-        try:
-            cond = probe(render_probe_prompt(query, passage, prompts))
-            ig = information_gain_from_rollouts(
-                uncond,
-                cond,
-                cfg.top_k,
-                passage_id=passage.id,
-                mt=cfg.max_tokens,
-                common_horizon=common_horizon,
-            )
-        except Exception as exc:
-            return RankedEntry(
-                passage=passage,
-                score=-math.inf,
-                score_kind="ig",
-                admitted=False,
-                retriever_rank=i,
-                retriever_score=retriever_score,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return RankedEntry(
-            passage=passage,
-            score=ig.ig,
-            score_kind="ig",
-            admitted=ig.ig >= t_p,
-            retriever_rank=i,
-            retriever_score=retriever_score,
-            ig=ig,
+    def score(passage: Passage) -> tuple[float, bool, IgScore]:
+        cond = backend.greedy_rollout(render_probe_prompt(query, passage, prompts), cfg)
+        ig = information_gain_from_rollouts(
+            uncond,
+            cond,
+            cfg.top_k,
+            passage_id=passage.id,
+            mt=cfg.max_tokens,
+            common_horizon=common_horizon,
         )
+        return ig.ig, ig.ig >= t_p, ig
 
-    entries = _map_candidates(score, len(candidates.candidates), parallelism)
-    return RankedList(query_id=candidates.query_id, entries=_sort_entries(entries))
+    return _score_candidates(candidates, "ig", score, parallelism)
 
 
 def qlm_rerank(
@@ -195,39 +210,17 @@ def qlm_rerank(
     if not candidates.candidates:
         return RankedList(query_id=candidates.query_id, entries=())
 
-    def score(i: int) -> RankedEntry:
-        passage, retriever_score = candidates.candidates[i]
+    def score(passage: Passage) -> tuple[float, bool, None]:
         prompt = render_probe_prompt(query, passage, prompts)
         try:
             lps = backend.force_score(prompt, query.question, cfg)
-        except UnsupportedCapabilityError:
-            raise
-        except Exception as exc:
-            return RankedEntry(
-                passage=passage,
-                score=-math.inf,
-                score_kind="qlm",
-                admitted=False,
-                retriever_rank=i,
-                retriever_score=retriever_score,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return RankedEntry(
-            passage=passage,
-            score=math.fsum(lps) / len(lps),
-            score_kind="qlm",
-            admitted=True,
-            retriever_rank=i,
-            retriever_score=retriever_score,
-        )
+        except UnsupportedCapabilityError as exc:
+            raise BaselineUnavailableError(
+                f"query-likelihood baseline unavailable: {exc}"
+            ) from exc
+        return math.fsum(lps) / len(lps), True, None
 
-    try:
-        entries = _map_candidates(score, len(candidates.candidates), parallelism)
-    except UnsupportedCapabilityError as exc:
-        raise BaselineUnavailableError(
-            f"query-likelihood baseline unavailable: {exc}"
-        ) from exc
-    return RankedList(query_id=candidates.query_id, entries=_sort_entries(entries))
+    return _score_candidates(candidates, "qlm", score, parallelism)
 
 
 _AFFIRMATIVE = "yes"
@@ -248,38 +241,18 @@ def yesno_rerank(
         return RankedList(query_id=candidates.query_id, entries=())
     slot_re = re.compile(r"\{(question|context)\}")
 
-    def score(i: int) -> RankedEntry:
-        passage, retriever_score = candidates.candidates[i]
+    def score(passage: Passage) -> tuple[float, bool, None]:
         slots = {"question": query.question, "context": passage.text}
         prompt = slot_re.sub(lambda m: slots[m.group(1)], yesno_template)
-        try:
-            step = backend.first_step_distribution(prompt, cfg)
-            mass = math.fsum(
-                p
-                for tok, p in topk_renormalize(step)
-                if tok.strip().lower() == _AFFIRMATIVE
-            )
-        except Exception as exc:
-            return RankedEntry(
-                passage=passage,
-                score=-math.inf,
-                score_kind="yesno",
-                admitted=False,
-                retriever_rank=i,
-                retriever_score=retriever_score,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return RankedEntry(
-            passage=passage,
-            score=mass,
-            score_kind="yesno",
-            admitted=True,
-            retriever_rank=i,
-            retriever_score=retriever_score,
+        step = backend.first_step_distribution(prompt, cfg)
+        mass = math.fsum(
+            p
+            for tok, p in topk_renormalize(step)
+            if tok.strip().lower() == _AFFIRMATIVE
         )
+        return mass, True, None
 
-    entries = _map_candidates(score, len(candidates.candidates), parallelism)
-    return RankedList(query_id=candidates.query_id, entries=_sort_entries(entries))
+    return _score_candidates(candidates, "yesno", score, parallelism)
 
 
 def retriever_ranked(candidates: CandidateSet) -> RankedList:

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from igp.cli import correlation_rows, main, pareto_rows
-from igp.pipeline import read_summary_csv
+from igp.pipeline import load_records, read_summary_csv
+from igp.probe import StubBackend
 
 
 def run_cli(*argv):
@@ -141,6 +142,41 @@ class TestSweepCommand:
         assert [r["k"] for r in rows] == ["2", "4"]
         # Both grid points must admit the gold passages (decisive at any K).
         assert all(float(r["f1"]) == pytest.approx(1.0) for r in rows)
+
+    def test_point_records_equal_a_run_with_the_point_config(self, world_args, tmp_path):
+        # The first point misses the rollout cache everywhere, the second
+        # hits it everywhere; both must record what a plain run records.
+        out = tmp_path / "tpsweep"
+        common = ["--rerank", "igp", "--topm", "1"]
+        assert run_cli(
+            "sweep", *world_args, *common, "--param", "tp", "--values", "0.05,0.5",
+            "--out", out,
+        ) == 0
+        for i, tp in enumerate(("0.05", "0.5")):
+            run_dir = tmp_path / f"run-{tp}"
+            assert run_cli("run", *world_args, *common, "--tp", tp, "--out", run_dir) == 0
+            point_dir = next(out.glob(f"point_{i:03d}_*"))
+            swept = load_records(point_dir / "records.jsonl")
+            ran = load_records(run_dir / "records.jsonl")
+            for record in swept + ran:
+                record.pop("timings")
+            assert swept == ran
+            assert all(r["probe_calls"] == 7 for r in swept)
+
+    def test_stub_table_parsed_once_per_sweep(self, world_args, tmp_path, monkeypatch):
+        load = StubBackend.load
+        paths = []
+
+        def counting_load(cls, path):
+            paths.append(path)
+            return load(path)
+
+        monkeypatch.setattr(StubBackend, "load", classmethod(counting_load))
+        assert run_cli(
+            "sweep", *world_args, "--rerank", "igp", "--topm", "1",
+            "--param", "tp", "--values", "0.05,0.5", "--out", tmp_path / "once",
+        ) == 0
+        assert len(paths) == 1
 
     def test_two_axis_grid_is_cross_product(self, world_args, tmp_path):
         out = tmp_path / "kmtsweep"

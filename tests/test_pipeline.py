@@ -234,12 +234,11 @@ class TestRolloutCache:
         )
         cfg = miniworld.probe_cfg
         queries = load_dataset(miniworld.dataset_path)
-        cache = RolloutCache()
-        source = cache.source(backend, cfg)
+        cache = RolloutCache(backend)
         for query in queries:
             prompt = render_probe_prompt(query, None)
-            cached_nu = sequence_nu(source(prompt), cfg.top_k)
-            again = sequence_nu(source(prompt), cfg.top_k)
+            cached_nu = sequence_nu(cache.greedy_rollout(prompt, cfg), cfg.top_k)
+            again = sequence_nu(cache.greedy_rollout(prompt, cfg), cfg.top_k)
             fresh = sequence_nu(backend.greedy_rollout(prompt, cfg), cfg.top_k)
             assert cached_nu == again == fresh
         assert cache.hits == len(queries)
@@ -250,11 +249,9 @@ class TestRolloutCache:
             json.loads(miniworld.stub_path.read_text(encoding="utf-8"))
         )
         prompt = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
-        cache = RolloutCache()
-        narrow = cache.source(backend, ProbeConfig(top_k=2, max_tokens=8))
-        wide = cache.source(backend, ProbeConfig(top_k=4, max_tokens=8))
-        narrow(prompt)
-        rollout = wide(prompt)
+        cache = RolloutCache(backend)
+        cache.greedy_rollout(prompt, ProbeConfig(top_k=2, max_tokens=8))
+        rollout = cache.greedy_rollout(prompt, ProbeConfig(top_k=4, max_tokens=8))
         assert cache.misses == 2
         assert len(rollout.steps[0].entries) == 4
 
@@ -263,9 +260,8 @@ class TestRolloutCache:
             json.loads(miniworld.stub_path.read_text(encoding="utf-8"))
         )
         prompt = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
-        cache = RolloutCache(probe_k=4)
-        narrow = cache.source(backend, ProbeConfig(top_k=2, max_tokens=8))
-        rollout = narrow(prompt)
+        cache = RolloutCache(backend, probe_k=4)
+        rollout = cache.greedy_rollout(prompt, ProbeConfig(top_k=2, max_tokens=8))
         assert cache.misses == 1
         # Recorded at width 4; the uncertainty math truncates to 2 itself,
         # and re-deriving at the narrow width equals a fresh narrow probe.
@@ -282,9 +278,20 @@ class TestRolloutCache:
             json.loads(miniworld.stub_path.read_text(encoding="utf-8"))
         )
         prompt = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
-        cache = RolloutCache()
-        short = cache.source(backend, ProbeConfig(top_k=4, max_tokens=2))
-        long = cache.source(backend, ProbeConfig(top_k=4, max_tokens=8))
-        assert short(prompt).effective_length == 2
-        assert long(prompt).effective_length == 4
+        cache = RolloutCache(backend)
+        short = cache.greedy_rollout(prompt, ProbeConfig(top_k=4, max_tokens=2))
+        long = cache.greedy_rollout(prompt, ProbeConfig(top_k=4, max_tokens=8))
+        assert short.effective_length == 2
+        assert long.effective_length == 4
         assert cache.misses == 2
+
+    def test_first_step_distribution_is_neither_cached_nor_widened(self, miniworld):
+        # Yes/No scoring under a topk sweep must see the width it asked for.
+        backend = StubBackend(
+            json.loads(miniworld.stub_path.read_text(encoding="utf-8"))
+        )
+        prompt = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
+        cache = RolloutCache(backend, probe_k=4)
+        step = cache.first_step_distribution(prompt, ProbeConfig(top_k=2, max_tokens=8))
+        assert len(step.entries) == 2
+        assert cache.hits == cache.misses == 0
