@@ -131,13 +131,17 @@ class CountingBackend(ProbeBackend):
         self._lock = threading.Lock()
         self.calls = 0
 
-    def _bump(self) -> None:
+    def _bump(self, n: int = 1) -> None:
         with self._lock:
-            self.calls += 1
+            self.calls += n
 
     def greedy_rollout(self, prompt, cfg):
         self._bump()
         return self._inner.greedy_rollout(prompt, cfg)
+
+    def greedy_rollouts(self, prompts, cfg):
+        self._bump(len(prompts))
+        return self._inner.greedy_rollouts(prompts, cfg)
 
     def force_score(self, prompt, continuation, cfg):
         self._bump()
@@ -173,19 +177,37 @@ class RolloutCache(ProbeBackend):
         self.misses = 0
 
     def greedy_rollout(self, prompt, cfg):
-        key = (hashlib.sha256(prompt.encode("utf-8")).hexdigest(), cfg.max_tokens)
+        (result,) = self.greedy_rollouts([prompt], cfg)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def greedy_rollouts(self, prompts, cfg):
+        """Serves hits from the store and sends the misses to the inner
+        backend as one batch; only successful rollouts are stored."""
+        keys = [(hashlib.sha256(p.encode("utf-8")).hexdigest(), cfg.max_tokens) for p in prompts]
+        results: list = [None] * len(prompts)
+        missed: list[int] = []
         with self._lock:
-            cached = self._store.get(key)
-            if cached is not None and cached[0] >= cfg.top_k:
-                self.hits += 1
-                return cached[1]
+            for i, key in enumerate(keys):
+                cached = self._store.get(key)
+                if cached is not None and cached[0] >= cfg.top_k:
+                    results[i] = cached[1]
+                    self.hits += 1
+                else:
+                    missed.append(i)
+        if not missed:
+            return results
         if self._probe_k is not None:
             cfg = replace(cfg, top_k=max(cfg.top_k, self._probe_k))
-        rollout = self._inner.greedy_rollout(prompt, cfg)
+        probed = self._inner.greedy_rollouts([prompts[i] for i in missed], cfg)
         with self._lock:
-            self._store[key] = (cfg.top_k, rollout)
-            self.misses += 1
-        return rollout
+            for i, result in zip(missed, probed):
+                results[i] = result
+                if not isinstance(result, Exception):
+                    self._store[keys[i]] = (cfg.top_k, result)
+                    self.misses += 1
+        return results
 
     def force_score(self, prompt, continuation, cfg):
         return self._inner.force_score(prompt, continuation, cfg)
@@ -288,13 +310,15 @@ def rerank_candidates(
 def run_query(
     query: Query,
     index: InvertedIndex,
-    backend: ProbeBackend,
+    counting: CountingBackend,
     config: RunConfig,
     qrels: Optional[QrelSet] = None,
     prompts: PromptBundle = DEFAULT_PROMPTS,
 ) -> RunRecord:
-    """retrieve -> rerank -> truncate -> render -> (generate) -> score."""
-    counting = CountingBackend(backend)
+    """retrieve -> rerank -> truncate -> render -> (generate) -> score.
+
+    ``counting`` is this query's own counter, so its ``calls`` are the
+    query's probe and generation calls."""
     t0 = time.monotonic()
     candidates = search(
         index,
@@ -393,8 +417,9 @@ def run_dataset(
     )
 
     def process(query: Query) -> RunRecord:
+        counting = CountingBackend(backend)
         try:
-            return run_query(query, index, backend, config, qrels, prompts)
+            return run_query(query, index, counting, config, qrels, prompts)
         except Exception as exc:
             return RunRecord(
                 query_id=query.id,
@@ -408,7 +433,7 @@ def run_dataset(
                 f1=None,
                 input_tokens=0,
                 ndcg=None,
-                probe_calls=0,
+                probe_calls=counting.calls,
                 probe_failures=0,
                 error=f"{type(exc).__name__}: {exc}",
             )

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 
 class ProbeError(Exception):
@@ -141,6 +142,20 @@ class ProbeBackend:
 
     def greedy_rollout(self, prompt: str, cfg: ProbeConfig) -> Rollout:
         raise NotImplementedError
+
+    def greedy_rollouts(
+        self, prompts: Sequence[str], cfg: ProbeConfig
+    ) -> list[Rollout | Exception]:
+        """One greedy rollout per prompt, in order. A prompt whose probe
+        fails gets its exception in place of a rollout, so one failure never
+        costs the other prompts theirs."""
+        out: list[Rollout | Exception] = []
+        for prompt in prompts:
+            try:
+                out.append(self.greedy_rollout(prompt, cfg))
+            except Exception as exc:
+                out.append(exc)
+        return out
 
     def force_score(self, prompt: str, continuation: str, cfg: ProbeConfig) -> list[float]:
         """Per-token logprobs of ``continuation`` under teacher forcing."""
@@ -285,7 +300,8 @@ class HttpBackend(ProbeBackend):
     ``/v1`` prefix the service expects.
 
     Transport failures are retried with exponential backoff up to
-    ``max_retries`` times; malformed payloads are never retried.
+    ``max_retries`` times; malformed payloads are never retried. The default
+    transport keeps one keep-alive ``requests.Session`` per thread.
     """
 
     def __init__(
@@ -307,15 +323,19 @@ class HttpBackend(ProbeBackend):
         self._backoff = backoff
         self._transport = transport or self._default_transport
         self._sleep = sleep
+        self._local = threading.local()  # a Session is not thread-safe
 
     def _default_transport(self, url: str, payload: dict) -> tuple[int, dict]:
         import requests
 
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=self._timeout)
+            resp = session.post(url, json=payload, headers=headers, timeout=self._timeout)
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         try:
@@ -356,19 +376,64 @@ class HttpBackend(ProbeBackend):
         except (KeyError, IndexError, TypeError) as exc:
             raise MalformedResponseError(f"no choices in response: {body}") from exc
 
+    @staticmethod
+    def _choices(body: dict, count: int) -> Optional[list[dict]]:
+        """The choices of a list-prompt response in prompt order, matched by
+        ``index``; None unless there is exactly one per prompt."""
+        try:
+            choices = body["choices"]
+            by_index = {choice["index"]: choice for choice in choices}
+            return [by_index[i] for i in range(count)] if len(choices) == count else None
+        except (KeyError, TypeError):
+            return None
+
+    def _probe_payload(self, prompt: str | list[str], cfg: ProbeConfig) -> dict:
+        return {
+            "model": self.model,
+            "prompt": prompt,
+            "temperature": 0,
+            "max_tokens": cfg.max_tokens,
+            "logprobs": cfg.top_k,
+        }
+
     def greedy_rollout(self, prompt: str, cfg: ProbeConfig) -> Rollout:
         if not prompt:
             raise ValueError("prompt must be non-empty")
-        body = self._request(
-            {
-                "model": self.model,
-                "prompt": prompt,
-                "temperature": 0,
-                "max_tokens": cfg.max_tokens,
-                "logprobs": cfg.top_k,
-            }
-        )
-        choice = self._choice(body)
+        body = self._request(self._probe_payload(prompt, cfg))
+        return self._rollout(self._choice(body), cfg)
+
+    def greedy_rollouts(
+        self, prompts: Sequence[str], cfg: ProbeConfig
+    ) -> list[Rollout | Exception]:
+        """All prompts in one request whose ``prompt`` is the list.
+
+        A choice that fails to parse fails its prompt only. A batch the
+        endpoint refuses, or answers with a choice set that does not match
+        the prompts, is re-sent one prompt per request, so each prompt gets
+        the rollout or error it gets alone. Retries used up on the batch fail
+        every prompt without a re-send.
+        """
+        if len(prompts) < 2 or not all(prompts):  # plain string payloads
+            return super().greedy_rollouts(prompts, cfg)
+        try:
+            body = self._request(self._probe_payload(list(prompts), cfg))
+        except TransportError as exc:
+            return [exc] * len(prompts)
+        except ProbeError:
+            return super().greedy_rollouts(prompts, cfg)
+        choices = self._choices(body, len(prompts))
+        if choices is None:
+            return super().greedy_rollouts(prompts, cfg)
+        out: list[Rollout | Exception] = []
+        for choice in choices:
+            try:
+                out.append(self._rollout(choice, cfg))
+            except Exception as exc:
+                out.append(exc)
+        return out
+
+    @staticmethod
+    def _rollout(choice: dict, cfg: ProbeConfig) -> Rollout:
         logprobs = choice.get("logprobs")
         if not logprobs:
             raise MissingLogprobsError(

@@ -171,18 +171,28 @@ def igp_rerank(
 ) -> RankedList:
     """Rerank candidates by information gain and admit those with IG >= t_p.
 
-    The no-evidence rollout is probed exactly once and shared across all
-    candidates; the per-candidate conditional rollouts fan out concurrently
-    up to ``parallelism`` workers. Passing ``t_p = -inf`` disables pruning and
-    reduces to pure IG reordering.
+    The no-evidence prompt and the candidate prompts, in retriever order,
+    go to the backend as one batch of N+1 probes, so they share their
+    question prefix; the no-evidence rollout is shared across all
+    candidates, and the per-candidate scores fan out up to ``parallelism``
+    workers. Passing ``t_p = -inf`` disables pruning and reduces to pure IG
+    reordering.
     """
     if not candidates.candidates:
         raise ValueError("candidates must be non-empty")
+    passages = [passage for passage, _ in candidates.candidates]
+    uncond, *conds = backend.greedy_rollouts(
+        [render_probe_prompt(query, p, prompts) for p in (None, *passages)], cfg
+    )
     # Unconditional NU unavailable means no candidate can be scored: abort.
-    uncond = backend.greedy_rollout(render_probe_prompt(query, None, prompts), cfg)
+    if isinstance(uncond, Exception):
+        raise uncond
+    rollouts = dict(zip(passages, conds))
 
     def score(passage: Passage) -> tuple[float, bool, IgScore]:
-        cond = backend.greedy_rollout(render_probe_prompt(query, passage, prompts), cfg)
+        cond = rollouts[passage]
+        if isinstance(cond, Exception):
+            raise cond
         ig = information_gain_from_rollouts(
             uncond,
             cond,

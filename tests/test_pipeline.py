@@ -8,6 +8,7 @@ import pytest
 from igp.core import load_dataset, render_answer_prompt, render_probe_prompt
 from igp.pipeline import (
     API_KEY_ENV,
+    CountingBackend,
     RolloutCache,
     RunConfig,
     load_passage_map,
@@ -15,7 +16,13 @@ from igp.pipeline import (
     make_backend,
     run_dataset,
 )
-from igp.probe import HttpBackend, ProbeConfig, StubBackend
+from igp.probe import (
+    HttpBackend,
+    ProbeBackend,
+    ProbeConfig,
+    StubBackend,
+    UnknownPromptError,
+)
 from igp.select import whitespace_token_count
 from igp.uncertainty import sequence_nu
 
@@ -38,6 +45,67 @@ def world_config(world, out_dir, **overrides):
     )
     values.update(overrides)
     return RunConfig(**values)
+
+
+class RecordingBackend(ProbeBackend):
+    """Forwards to ``inner``, recording every prompt it is asked to probe and
+    every batch it is handed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = []
+        self.batches = []
+
+    def greedy_rollout(self, prompt, cfg):
+        self.prompts.append(prompt)
+        return self.inner.greedy_rollout(prompt, cfg)
+
+    def greedy_rollouts(self, prompts, cfg):
+        self.batches.append((list(prompts), cfg))
+        return super().greedy_rollouts(prompts, cfg)
+
+    def complete_text(self, prompt, max_tokens):
+        self.prompts.append(prompt)
+        return self.inner.complete_text(prompt, max_tokens)
+
+
+class StubCompletions:
+    """In-process completions endpoint serving a stub table: the transport
+    of an ``HttpBackend`` that must answer as the ``StubBackend`` does."""
+
+    def __init__(self, table):
+        self.stub = StubBackend(table)
+        self.payloads = []
+
+    def __call__(self, url, payload):
+        self.payloads.append(payload)
+        prompts = payload["prompt"]
+        prompts = [prompts] if isinstance(prompts, str) else prompts
+        choices = []
+        for index, prompt in enumerate(prompts):
+            if "logprobs" not in payload:
+                text = self.stub.complete_text(prompt, payload["max_tokens"])
+                choices.append({"index": index, "text": text})
+                continue
+            cfg = ProbeConfig(top_k=payload["logprobs"], max_tokens=payload["max_tokens"])
+            rollout = self.stub.greedy_rollout(prompt, cfg)
+            steps = rollout.steps
+            choices.append(
+                {
+                    "index": index,
+                    "finish_reason": "length" if rollout.terminated_by == "max_tokens" else "stop",
+                    "logprobs": {
+                        "tokens": [s.chosen_token for s in steps],
+                        "token_logprobs": [dict(s.entries)[s.chosen_token] for s in steps],
+                        "top_logprobs": [dict(s.entries) for s in steps],
+                    },
+                }
+            )
+        return 200, {"choices": choices}
+
+
+def stub_table(world):
+    return json.loads(world.stub_path.read_text(encoding="utf-8"))
 
 
 class TestRunConfig:
@@ -227,6 +295,36 @@ class TestQueryFailureIsolation:
         assert result.failure_rate == pytest.approx(1 / len(queries))
 
 
+    def test_failed_query_records_the_calls_it_issued(self, miniworld, tmp_path):
+        table = stub_table(miniworld)
+        victim = load_dataset(miniworld.dataset_path)[0]
+        table["prompts"].pop(render_probe_prompt(victim, None))
+        table.pop("default", None)
+        backend = RecordingBackend(StubBackend(table))
+        config = world_config(miniworld, tmp_path / "broken")
+        result = run_dataset(config, backend=backend)
+        record = next(r for r in result.records if r.query_id == victim.id)
+        assert record.error.startswith("UnknownPromptError")
+        asked = [p for p in backend.prompts if p.startswith(f"User: {victim.question}\n")]
+        assert asked and record.probe_calls == len(asked)
+
+
+class TestHttpEquivalence:
+    def test_batched_http_run_equals_stub_run(self, miniworld, tmp_path):
+        table = stub_table(miniworld)
+        transport = StubCompletions(table)
+        http = HttpBackend("http://example/v1", "test-model", transport=transport)
+        stub_run = run_dataset(world_config(miniworld, tmp_path / "stub"), StubBackend(table))
+        http_run = run_dataset(world_config(miniworld, tmp_path / "http"), http)
+        fields = ("admitted_ids", "scores", "final_prompt", "prediction", "probe_calls")
+        for a, b in zip(stub_run.records, http_run.records, strict=True):
+            assert a.error is None and b.error is None
+            assert {f: getattr(a, f) for f in fields} == {f: getattr(b, f) for f in fields}
+        # One probe batch and one generation request per query.
+        assert len(transport.payloads) == 2 * len(http_run.records)
+        assert sum(isinstance(p["prompt"], list) for p in transport.payloads) == len(http_run.records)
+
+
 class TestRolloutCache:
     def test_cached_unconditional_equals_fresh(self, miniworld):
         backend = StubBackend(
@@ -295,3 +393,52 @@ class TestRolloutCache:
         step = cache.first_step_distribution(prompt, ProbeConfig(top_k=2, max_tokens=8))
         assert len(step.entries) == 2
         assert cache.hits == cache.misses == 0
+
+    def test_batch_never_forwards_hits(self, miniworld):
+        inner = RecordingBackend(StubBackend(stub_table(miniworld)))
+        cfg = miniworld.probe_cfg
+        query = load_dataset(miniworld.dataset_path)[0]
+        hit, *others = [render_probe_prompt(query, None)] + [
+            p for p in stub_table(miniworld)["prompts"] if p.startswith(f"User: {query.question}\nContext:\n")
+        ][:2]
+        assert len(others) == 2
+        cache = RolloutCache(inner)
+        cache.greedy_rollout(hit, cfg)
+        inner.batches.clear()
+        results = cache.greedy_rollouts([hit, *others], cfg)
+        assert [prompts for prompts, _ in inner.batches] == [others]
+        assert results[0] == cache.greedy_rollout(hit, cfg)
+        assert cache.hits == 2
+
+    def test_batch_misses_go_out_once_widened(self, miniworld):
+        inner = RecordingBackend(StubBackend(stub_table(miniworld)))
+        prompts = [render_probe_prompt(q, None) for q in load_dataset(miniworld.dataset_path)[:3]]
+        cache = RolloutCache(inner, probe_k=4)
+        results = cache.greedy_rollouts(prompts, ProbeConfig(top_k=2, max_tokens=8))
+        ((sent, cfg),) = inner.batches
+        assert sent == prompts and cfg.top_k == 4
+        assert all(len(r.steps[0].entries) == 4 for r in results)
+        assert cache.misses == 3
+
+    def test_failed_miss_not_cached(self, miniworld):
+        table = stub_table(miniworld)
+        table.pop("default", None)
+        inner = RecordingBackend(StubBackend(table))
+        cfg = miniworld.probe_cfg
+        good = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
+        cache = RolloutCache(inner)
+        for _ in range(2):
+            missing, rollout = cache.greedy_rollouts(["no such prompt", good], cfg)
+            assert isinstance(missing, UnknownPromptError)
+        assert [prompts for prompts, _ in inner.batches] == [["no such prompt", good], ["no such prompt"]]
+        assert cache.misses == 1 and cache.hits == 1
+
+    def test_counting_counts_every_prompt_hits_included(self, miniworld):
+        inner = RecordingBackend(StubBackend(stub_table(miniworld)))
+        prompts = [render_probe_prompt(q, None) for q in load_dataset(miniworld.dataset_path)[:3]]
+        cache = RolloutCache(inner)
+        counting = CountingBackend(cache)
+        counting.greedy_rollouts(prompts, miniworld.probe_cfg)
+        counting.greedy_rollouts(prompts, miniworld.probe_cfg)
+        assert counting.calls == 6
+        assert cache.hits == 3 and len(inner.prompts) == 3

@@ -333,6 +333,87 @@ class TestHttpBackend:
         assert "logprobs" not in transport.payloads[0][1]
 
 
+def choice(index, tokens, finish_reason="stop"):
+    """One completions choice whose every step puts its token on top."""
+    return {
+        "index": index,
+        "text": "".join(tokens),
+        "finish_reason": finish_reason,
+        "logprobs": {
+            "tokens": tokens,
+            "token_logprobs": [-0.1] * len(tokens),
+            "top_logprobs": [{tok: -0.1, "zz": -3.0} for tok in tokens],
+        },
+    }
+
+
+class TestHttpBatch:
+    def test_one_list_prompt_payload(self):
+        body = {"choices": [choice(0, ["a"]), choice(1, ["b"])]}
+        backend, transport = http_backend([(200, body)])
+        results = backend.greedy_rollouts(["p0", "p1"], ProbeConfig(top_k=5, max_tokens=7))
+        assert [r.chosen_tokens for r in results] == [("a",), ("b",)]
+        (url, payload), = transport.payloads
+        assert url == "http://example/v1/completions"
+        assert payload["prompt"] == ["p0", "p1"]
+        assert payload["model"] == "test-model"
+        assert payload["temperature"] == 0
+        assert payload["max_tokens"] == 7
+        assert payload["logprobs"] == 5
+
+    def test_choices_matched_by_index(self):
+        body = {"choices": [choice(2, ["c"]), choice(0, ["a"]), choice(1, ["b"], "length")]}
+        backend, _ = http_backend([(200, body)])
+        results = backend.greedy_rollouts(["p0", "p1", "p2"], CFG)
+        assert [r.chosen_tokens for r in results] == [("a",), ("b",), ("c",)]
+        assert [r.terminated_by for r in results] == ["eos", "max_tokens", "eos"]
+
+    def test_malformed_choice_fails_its_prompt_only(self):
+        broken = dict(choice(1, ["b"]), logprobs=None)
+        body = {"choices": [choice(0, ["a"]), broken, choice(2, ["c"])]}
+        backend, transport = http_backend([(200, body)])
+        first, second, third = backend.greedy_rollouts(["p0", "p1", "p2"], CFG)
+        assert isinstance(second, MissingLogprobsError)
+        assert first.chosen_tokens == ("a",) and third.chosen_tokens == ("c",)
+        assert len(transport.payloads) == 1
+
+    def test_refused_batch_resent_one_prompt_per_request(self):
+        refusal = (404, {"error": "no response for p1"})
+        body = completion_body(["a"], [-0.1], [{"a": -0.1}])
+        backend, transport = http_backend([(404, {"error": "batch"}), (200, body), refusal])
+        first, second = backend.greedy_rollouts(["p0", "p1"], CFG)
+        assert first.chosen_tokens == ("a",)
+        lone, _ = http_backend([refusal])
+        with pytest.raises(ProbeError) as alone:
+            lone.greedy_rollout("p1", CFG)
+        assert type(second) is type(alone.value)
+        assert str(second) == str(alone.value)
+        assert [payload["prompt"] for _, payload in transport.payloads] == [["p0", "p1"], "p0", "p1"]
+
+    def test_mismatched_choice_set_resent_one_prompt_per_request(self):
+        short = {"choices": [choice(0, ["a"])]}
+        backend, transport = http_backend(
+            [(200, short), (200, {"choices": [choice(0, ["a"])]}), (200, {"choices": [choice(0, ["b"])]})]
+        )
+        results = backend.greedy_rollouts(["p0", "p1"], CFG)
+        assert [r.chosen_tokens for r in results] == [("a",), ("b",)]
+        assert len(transport.payloads) == 3
+
+    def test_exhausted_transport_fails_every_prompt_without_resend(self):
+        backend, transport = http_backend([TransportError("boom")] * 3, max_retries=2)
+        results = backend.greedy_rollouts(["p0", "p1", "p2"], CFG)
+        assert all(isinstance(r, TransportError) for r in results)
+        assert len(results) == 3
+        assert [payload["prompt"] for _, payload in transport.payloads] == [["p0", "p1", "p2"]] * 3
+
+    def test_single_prompt_sends_a_string(self):
+        body = completion_body(["a"], [-0.1], [{"a": -0.1}])
+        backend, transport = http_backend([(200, body)])
+        (rollout,) = backend.greedy_rollouts(["p0"], CFG)
+        assert rollout.chosen_tokens == ("a",)
+        assert transport.payloads[0][1]["prompt"] == "p0"
+
+
 class TestRolloutInvariants:
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
     def test_length_never_exceeds_cap(self, table_len, max_tokens):
