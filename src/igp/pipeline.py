@@ -46,6 +46,7 @@ from .probe import (
     Rollout,
     StubBackend,
     UnsupportedCapabilityError,
+    _only,
 )
 from .retrieve import Bm25Params, InvertedIndex, load_index, search
 from .select import (
@@ -90,7 +91,6 @@ class RunConfig:
     parallelism: int = 4
     generate: bool = True
     labeled_only: bool = False
-    common_horizon: bool = False
     failure_ceiling: float = 0.0
     yesno_template: str = DEFAULT_YESNO_TEMPLATE
 
@@ -147,9 +147,9 @@ class CountingBackend(ProbeBackend):
         self._bump()
         return self._inner.force_score(prompt, continuation, cfg)
 
-    def first_step_distribution(self, prompt, cfg):
-        self._bump()
-        return self._inner.first_step_distribution(prompt, cfg)
+    def force_scores(self, prompts, continuation, cfg):
+        self._bump(len(prompts))
+        return self._inner.force_scores(prompts, continuation, cfg)
 
     def complete_text(self, prompt, max_tokens):
         self._bump()
@@ -177,10 +177,7 @@ class RolloutCache(ProbeBackend):
         self.misses = 0
 
     def greedy_rollout(self, prompt, cfg):
-        (result,) = self.greedy_rollouts([prompt], cfg)
-        if isinstance(result, Exception):
-            raise result
-        return result
+        return _only(self.greedy_rollouts([prompt], cfg))
 
     def greedy_rollouts(self, prompts, cfg):
         """Serves hits from the store and sends the misses to the inner
@@ -211,6 +208,9 @@ class RolloutCache(ProbeBackend):
 
     def force_score(self, prompt, continuation, cfg):
         return self._inner.force_score(prompt, continuation, cfg)
+
+    def force_scores(self, prompts, continuation, cfg):
+        return self._inner.force_scores(prompts, continuation, cfg)
 
     def first_step_distribution(self, prompt, cfg):
         return self._inner.first_step_distribution(prompt, cfg)
@@ -283,8 +283,6 @@ def rerank_candidates(
             config.probe_config,
             t_p,
             prompts=prompts,
-            parallelism=config.parallelism,
-            common_horizon=config.common_horizon,
         )
     if method == "qlm":
         return qlm_rerank(
@@ -293,7 +291,6 @@ def rerank_candidates(
             backend,
             config.probe_config,
             prompts=prompts,
-            parallelism=config.parallelism,
         )
     if method == "yesno":
         return yesno_rerank(
@@ -302,7 +299,6 @@ def rerank_candidates(
             backend,
             config.probe_config,
             yesno_template=config.yesno_template,
-            parallelism=config.parallelism,
         )
     raise ValueError(f"unknown rerank method {method!r}")
 
@@ -326,6 +322,7 @@ def run_query(
         Bm25Params(top_n=config.top_n),
         query_id=query.id,
     )
+    t_retrieve = time.monotonic()
     ranked = rerank_candidates(query, candidates, counting, config, prompts)
     t_rerank = time.monotonic()
     selected = truncate(ranked, config.budget, whitespace_token_count)
@@ -370,7 +367,8 @@ def run_query(
         probe_calls=counting.calls,
         probe_failures=sum(1 for s in score_dicts if s["error"]),
         timings={
-            "rerank_s": t_rerank - t0,
+            "retrieve_s": t_retrieve - t0,
+            "rerank_s": t_rerank - t_retrieve,
             "generate_s": t_generate - t_rerank,
             "total_s": time.monotonic() - t0,
         },
@@ -405,8 +403,10 @@ def run_dataset(
     index = load_index(config.index_path)
     queries = load_dataset(config.dataset_path)
     qrels = load_qrels(config.qrels_path) if config.qrels_path else None
-    if config.labeled_only and qrels is not None:
-        queries = [q for q in queries if q.gold_answers and q.id in qrels]
+    if config.labeled_only:
+        queries = [
+            q for q in queries if q.gold_answers and (qrels is None or q.id in qrels)
+        ]
     if backend is None:
         backend = make_backend(config)
 
@@ -438,12 +438,8 @@ def run_dataset(
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    workers = min(config.parallelism, max(len(queries), 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(process, queries))
-    else:
-        records = [process(q) for q in queries]
+    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        records = list(pool.map(process, queries))
 
     ok = [r for r in records if r.error is None]
     failed = len(records) - len(ok)

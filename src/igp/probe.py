@@ -16,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 
 class ProbeError(Exception):
@@ -136,6 +136,28 @@ def _sorted_entries(raw: dict[str, float], top_k: int) -> tuple[tuple[str, float
     return tuple(ordered[:top_k])
 
 
+T = TypeVar("T")
+
+
+def _each(fn: Callable[[Any], T], items: Iterable) -> list[T | Exception]:
+    """``fn`` of each item, in order, with an item's exception in its slot."""
+    out: list[T | Exception] = []
+    for item in items:
+        try:
+            out.append(fn(item))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _only(results: list[T | Exception]) -> T:
+    """The result of a one-prompt batch, raising its exception."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 class ProbeBackend:
     """Interface every probing backend implements. Backends hold no mutable
     per-call state and may be used from many threads concurrently."""
@@ -149,19 +171,20 @@ class ProbeBackend:
         """One greedy rollout per prompt, in order. A prompt whose probe
         fails gets its exception in place of a rollout, so one failure never
         costs the other prompts theirs."""
-        out: list[Rollout | Exception] = []
-        for prompt in prompts:
-            try:
-                out.append(self.greedy_rollout(prompt, cfg))
-            except Exception as exc:
-                out.append(exc)
-        return out
+        return _each(lambda prompt: self.greedy_rollout(prompt, cfg), prompts)
 
     def force_score(self, prompt: str, continuation: str, cfg: ProbeConfig) -> list[float]:
         """Per-token logprobs of ``continuation`` under teacher forcing."""
         raise UnsupportedCapabilityError(
             f"{type(self).__name__} cannot score forced continuations"
         )
+
+    def force_scores(
+        self, prompts: Sequence[str], continuation: str, cfg: ProbeConfig
+    ) -> list[list[float] | Exception]:
+        """``force_score`` of ``continuation`` after each prompt, in order,
+        with each failure in its prompt's slot as in ``greedy_rollouts``."""
+        return _each(lambda prompt: self.force_score(prompt, continuation, cfg), prompts)
 
     def first_step_distribution(self, prompt: str, cfg: ProbeConfig) -> StepDistribution:
         """Top-K distribution of only the first generated token."""
@@ -387,50 +410,56 @@ class HttpBackend(ProbeBackend):
         except (KeyError, TypeError):
             return None
 
-    def _probe_payload(self, prompt: str | list[str], cfg: ProbeConfig) -> dict:
-        return {
-            "model": self.model,
-            "prompt": prompt,
-            "temperature": 0,
-            "max_tokens": cfg.max_tokens,
-            "logprobs": cfg.top_k,
-        }
+    def _payload(self, prompt: str | list[str], **fields) -> dict:
+        return {"model": self.model, "prompt": prompt, "temperature": 0, **fields}
 
-    def greedy_rollout(self, prompt: str, cfg: ProbeConfig) -> Rollout:
-        if not prompt:
-            raise ValueError("prompt must be non-empty")
-        body = self._request(self._probe_payload(prompt, cfg))
-        return self._rollout(self._choice(body), cfg)
-
-    def greedy_rollouts(
-        self, prompts: Sequence[str], cfg: ProbeConfig
-    ) -> list[Rollout | Exception]:
-        """All prompts in one request whose ``prompt`` is the list.
+    def _batch(
+        self, wire: Sequence[str], parse: Callable[[dict, int], T], **fields
+    ) -> list[T | Exception]:
+        """``parse(choice, i)`` of the completion of each ``wire`` prompt, all
+        sent in one request whose ``prompt`` is the list and whose other
+        payload ``fields`` every prompt shares.
 
         A choice that fails to parse fails its prompt only. A batch the
         endpoint refuses, or answers with a choice set that does not match
         the prompts, is re-sent one prompt per request, so each prompt gets
-        the rollout or error it gets alone. Retries used up on the batch fail
-        every prompt without a re-send.
+        the result or error it gets alone. Retries used up on the batch fail
+        every prompt without a re-send. One prompt, or a list holding an
+        empty one, goes as plain string payloads.
         """
-        if len(prompts) < 2 or not all(prompts):  # plain string payloads
-            return super().greedy_rollouts(prompts, cfg)
-        try:
-            body = self._request(self._probe_payload(list(prompts), cfg))
-        except TransportError as exc:
-            return [exc] * len(prompts)
-        except ProbeError:
-            return super().greedy_rollouts(prompts, cfg)
-        choices = self._choices(body, len(prompts))
-        if choices is None:
-            return super().greedy_rollouts(prompts, cfg)
-        out: list[Rollout | Exception] = []
-        for choice in choices:
+
+        def alone(i: int) -> T:
+            if not wire[i]:
+                raise ValueError("prompt must be non-empty")
+            return parse(self._choice(self._request(self._payload(wire[i], **fields))), i)
+
+        choices = None
+        if len(wire) > 1 and all(wire):
             try:
-                out.append(self._rollout(choice, cfg))
-            except Exception as exc:
-                out.append(exc)
-        return out
+                body = self._request(self._payload(list(wire), **fields))
+            except TransportError as exc:
+                return [exc] * len(wire)
+            except ProbeError:
+                pass
+            else:
+                choices = self._choices(body, len(wire))
+        if choices is None:
+            return _each(alone, range(len(wire)))
+        return _each(lambda i: parse(choices[i], i), range(len(wire)))
+
+    def greedy_rollout(self, prompt: str, cfg: ProbeConfig) -> Rollout:
+        return _only(self.greedy_rollouts([prompt], cfg))
+
+    def greedy_rollouts(
+        self, prompts: Sequence[str], cfg: ProbeConfig
+    ) -> list[Rollout | Exception]:
+        """All prompts in one request; see ``_batch``."""
+        return self._batch(
+            prompts,
+            lambda choice, _: self._rollout(choice, cfg),
+            max_tokens=cfg.max_tokens,
+            logprobs=cfg.top_k,
+        )
 
     @staticmethod
     def _rollout(choice: dict, cfg: ProbeConfig) -> Rollout:
@@ -471,19 +500,26 @@ class HttpBackend(ProbeBackend):
         return Rollout(tuple(steps), "eos", "finish_reason")
 
     def force_score(self, prompt: str, continuation: str, cfg: ProbeConfig) -> list[float]:
+        return _only(self.force_scores([prompt], continuation, cfg))
+
+    def force_scores(
+        self, prompts: Sequence[str], continuation: str, cfg: ProbeConfig
+    ) -> list[list[float] | Exception]:
+        """Echo scoring of ``continuation`` after every prompt in one
+        request; see ``_batch``. Each choice's scores start at its own
+        prompt's end."""
         if not continuation:
             raise ValueError("continuation must be non-empty")
-        body = self._request(
-            {
-                "model": self.model,
-                "prompt": prompt + continuation,
-                "temperature": 0,
-                "max_tokens": 0,
-                "echo": True,
-                "logprobs": 0,
-            }
+        return self._batch(
+            [prompt + continuation for prompt in prompts],
+            lambda choice, i: self._forced(choice, len(prompts[i])),
+            max_tokens=0,
+            echo=True,
+            logprobs=0,
         )
-        choice = self._choice(body)
+
+    @staticmethod
+    def _forced(choice: dict, cut: int) -> list[float]:
         logprobs = choice.get("logprobs")
         if not logprobs or "text_offset" not in logprobs:
             raise UnsupportedCapabilityError(
@@ -493,7 +529,6 @@ class HttpBackend(ProbeBackend):
         token_lps = logprobs.get("token_logprobs") or []
         if len(offsets) != len(token_lps):
             raise MalformedResponseError("inconsistent echo logprob arrays")
-        cut = len(prompt)
         scores = [
             float(lp)
             for off, lp in zip(offsets, token_lps)
@@ -504,15 +539,7 @@ class HttpBackend(ProbeBackend):
         return scores
 
     def complete_text(self, prompt: str, max_tokens: int) -> str:
-        body = self._request(
-            {
-                "model": self.model,
-                "prompt": prompt,
-                "temperature": 0,
-                "max_tokens": max_tokens,
-            }
-        )
-        choice = self._choice(body)
+        choice = self._choice(self._request(self._payload(prompt, max_tokens=max_tokens)))
         text = choice.get("text")
         if text is None:
             raise MalformedResponseError("completion response has no text")

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional, Sequence
 
 from .core import (
     CandidateSet,
@@ -29,7 +28,7 @@ from .core import (
     Query,
     render_probe_prompt,
 )
-from .probe import ProbeBackend, ProbeConfig, UnsupportedCapabilityError
+from .probe import ProbeBackend, ProbeConfig, Rollout, UnsupportedCapabilityError
 from .uncertainty import (
     IgScore,
     information_gain_from_rollouts,
@@ -105,57 +104,42 @@ def _sort_entries(entries: Sequence[RankedEntry]) -> tuple[RankedEntry, ...]:
     )
 
 
-T = TypeVar("T")
-
-
-def _map_candidates(
-    fn: Callable[[int], T], count: int, parallelism: int
-) -> list[T]:
-    if parallelism <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(parallelism, count)) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _score_candidates(
     candidates: CandidateSet,
     score_kind: str,
-    score: Callable[[Passage], tuple[float, bool, Optional[IgScore]]],
-    parallelism: int,
+    results: Sequence[Any],
+    score: Callable[[Passage, Any], tuple[float, bool, Optional[IgScore]]],
 ) -> RankedList:
-    """The loop every generator-scored rerank shares: ``score`` maps one
-    passage to (score, admitted, IG detail), candidates fan out up to
-    ``parallelism`` workers, and any exception other than
-    ``BaselineUnavailableError`` becomes a rejected entry carrying the error.
+    """The loop every generator-scored rerank shares: ``results`` holds each
+    candidate's slot of the query's one backend batch, in retriever order,
+    and ``score`` maps a passage and its result to (score, admitted, IG
+    detail). A failed slot, or an exception from ``score``, becomes a
+    rejected entry carrying the error.
     """
-
-    def entry(i: int) -> RankedEntry:
-        passage, retriever_score = candidates.candidates[i]
+    entries = []
+    for i, ((passage, retriever_score), result) in enumerate(
+        zip(candidates.candidates, results, strict=True)
+    ):
         try:
-            value, admitted, ig = score(passage)
-        except BaselineUnavailableError:
-            raise
+            if isinstance(result, Exception):
+                raise result
+            value, admitted, ig = score(passage, result)
+            error = None
         except Exception as exc:
-            return RankedEntry(
+            value, admitted, ig = -math.inf, False, None
+            error = f"{type(exc).__name__}: {exc}"
+        entries.append(
+            RankedEntry(
                 passage=passage,
-                score=-math.inf,
+                score=value,
                 score_kind=score_kind,
-                admitted=False,
+                admitted=admitted,
                 retriever_rank=i,
                 retriever_score=retriever_score,
-                error=f"{type(exc).__name__}: {exc}",
+                ig=ig,
+                error=error,
             )
-        return RankedEntry(
-            passage=passage,
-            score=value,
-            score_kind=score_kind,
-            admitted=admitted,
-            retriever_rank=i,
-            retriever_score=retriever_score,
-            ig=ig,
         )
-
-    entries = _map_candidates(entry, len(candidates.candidates), parallelism)
     return RankedList(query_id=candidates.query_id, entries=_sort_entries(entries))
 
 
@@ -166,17 +150,14 @@ def igp_rerank(
     cfg: ProbeConfig,
     t_p: float,
     prompts: PromptBundle = DEFAULT_PROMPTS,
-    parallelism: int = 1,
-    common_horizon: bool = False,
 ) -> RankedList:
     """Rerank candidates by information gain and admit those with IG >= t_p.
 
     The no-evidence prompt and the candidate prompts, in retriever order,
     go to the backend as one batch of N+1 probes, so they share their
     question prefix; the no-evidence rollout is shared across all
-    candidates, and the per-candidate scores fan out up to ``parallelism``
-    workers. Passing ``t_p = -inf`` disables pruning and reduces to pure IG
-    reordering.
+    candidates. Passing ``t_p = -inf`` disables pruning and reduces to pure
+    IG reordering.
     """
     if not candidates.candidates:
         raise ValueError("candidates must be non-empty")
@@ -187,23 +168,14 @@ def igp_rerank(
     # Unconditional NU unavailable means no candidate can be scored: abort.
     if isinstance(uncond, Exception):
         raise uncond
-    rollouts = dict(zip(passages, conds))
 
-    def score(passage: Passage) -> tuple[float, bool, IgScore]:
-        cond = rollouts[passage]
-        if isinstance(cond, Exception):
-            raise cond
+    def score(passage: Passage, cond: Rollout) -> tuple[float, bool, IgScore]:
         ig = information_gain_from_rollouts(
-            uncond,
-            cond,
-            cfg.top_k,
-            passage_id=passage.id,
-            mt=cfg.max_tokens,
-            common_horizon=common_horizon,
+            uncond, cond, cfg.top_k, passage_id=passage.id, mt=cfg.max_tokens
         )
         return ig.ig, ig.ig >= t_p, ig
 
-    return _score_candidates(candidates, "ig", score, parallelism)
+    return _score_candidates(candidates, "ig", conds, score)
 
 
 def qlm_rerank(
@@ -212,25 +184,27 @@ def qlm_rerank(
     backend: ProbeBackend,
     cfg: ProbeConfig,
     prompts: PromptBundle = DEFAULT_PROMPTS,
-    parallelism: int = 1,
 ) -> RankedList:
     """Query-likelihood baseline: score each candidate by the mean per-token
     logprob of the question forced after the document-conditioned probing
     prompt. No pruning; every scored candidate is admitted."""
     if not candidates.candidates:
         return RankedList(query_id=candidates.query_id, entries=())
-
-    def score(passage: Passage) -> tuple[float, bool, None]:
-        prompt = render_probe_prompt(query, passage, prompts)
-        try:
-            lps = backend.force_score(prompt, query.question, cfg)
-        except UnsupportedCapabilityError as exc:
+    results = backend.force_scores(
+        [render_probe_prompt(query, p, prompts) for p, _ in candidates.candidates],
+        query.question,
+        cfg,
+    )
+    for result in results:
+        if isinstance(result, UnsupportedCapabilityError):
             raise BaselineUnavailableError(
-                f"query-likelihood baseline unavailable: {exc}"
-            ) from exc
+                f"query-likelihood baseline unavailable: {result}"
+            ) from result
+
+    def score(passage: Passage, lps: list[float]) -> tuple[float, bool, None]:
         return math.fsum(lps) / len(lps), True, None
 
-    return _score_candidates(candidates, "qlm", score, parallelism)
+    return _score_candidates(candidates, "qlm", results, score)
 
 
 _AFFIRMATIVE = "yes"
@@ -242,19 +216,29 @@ def yesno_rerank(
     backend: ProbeBackend,
     cfg: ProbeConfig,
     yesno_template: str = DEFAULT_YESNO_TEMPLATE,
-    parallelism: int = 1,
 ) -> RankedList:
     """Yes/No baseline: score each candidate by the renormalized first-step
     probability mass on the affirmative token (case-insensitive "Yes" after
-    whitespace stripping; 0 when absent from the Top-K set). No pruning."""
+    whitespace stripping; 0 when absent from the Top-K set). No pruning.
+
+    Each candidate is a one-token rollout; its first step is cut to
+    ``cfg.top_k`` entries, so a rollout probed wider scores as a fresh
+    narrow probe does."""
     if not candidates.candidates:
         return RankedList(query_id=candidates.query_id, entries=())
     slot_re = re.compile(r"\{(question|context)\}")
 
-    def score(passage: Passage) -> tuple[float, bool, None]:
+    def render(passage: Passage) -> str:
         slots = {"question": query.question, "context": passage.text}
-        prompt = slot_re.sub(lambda m: slots[m.group(1)], yesno_template)
-        step = backend.first_step_distribution(prompt, cfg)
+        return slot_re.sub(lambda m: slots[m.group(1)], yesno_template)
+
+    rollouts = backend.greedy_rollouts(
+        [render(p) for p, _ in candidates.candidates], replace(cfg, max_tokens=1)
+    )
+
+    def score(passage: Passage, rollout: Rollout) -> tuple[float, bool, None]:
+        step = rollout.steps[0]
+        step = replace(step, entries=step.entries[: cfg.top_k])
         mass = math.fsum(
             p
             for tok, p in topk_renormalize(step)
@@ -262,7 +246,7 @@ def yesno_rerank(
         )
         return mass, True, None
 
-    return _score_candidates(candidates, "yesno", score, parallelism)
+    return _score_candidates(candidates, "yesno", rollouts, score)
 
 
 def retriever_ranked(candidates: CandidateSet) -> RankedList:

@@ -181,19 +181,9 @@ def information_gain_from_rollouts(
     k: int,
     passage_id: str,
     mt: Optional[int] = None,
-    common_horizon: bool = False,
 ) -> IgScore:
-    """Compute IG from the two probing rollouts.
-
-    With ``common_horizon`` both rollouts are truncated to their shared step
-    count before averaging; the default compares the full length-normalized
-    estimates, which are already comparable across differing lengths.
-    """
-    if common_horizon:
-        horizon = min(uncond.effective_length, cond.effective_length)
-        nu0 = nu_from_steps(uncond.steps[:horizon], k, mt)
-        nud = nu_from_steps(cond.steps[:horizon], k, mt)
-    else:
-        nu0 = sequence_nu(uncond, k, mt)
-        nud = sequence_nu(cond, k, mt)
-    return information_gain(nu0, nud, passage_id)
+    """Compute IG from the two probing rollouts' full length-normalized NU
+    estimates, which are comparable across differing lengths."""
+    return information_gain(
+        sequence_nu(uncond, k, mt), sequence_nu(cond, k, mt), passage_id
+    )

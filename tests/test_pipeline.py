@@ -2,10 +2,20 @@
 replay determinism, pruning edge cases, and the sweep rollout cache."""
 
 import json
+import threading
+from dataclasses import replace
 
 import pytest
 
-from igp.core import load_dataset, render_answer_prompt, render_probe_prompt
+from helpers import render_yesno_prompt
+from igp.core import (
+    CandidateSet,
+    Passage,
+    Query,
+    load_dataset,
+    render_answer_prompt,
+    render_probe_prompt,
+)
 from igp.pipeline import (
     API_KEY_ENV,
     CountingBackend,
@@ -23,7 +33,7 @@ from igp.probe import (
     StubBackend,
     UnknownPromptError,
 )
-from igp.select import whitespace_token_count
+from igp.select import whitespace_token_count, yesno_rerank
 from igp.uncertainty import sequence_nu
 
 
@@ -66,6 +76,28 @@ class RecordingBackend(ProbeBackend):
 
     def complete_text(self, prompt, max_tokens):
         self.prompts.append(prompt)
+        return self.inner.complete_text(prompt, max_tokens)
+
+
+class ThreadRecordingBackend(ProbeBackend):
+    """Forwards to ``inner``, recording the thread behind every call; the
+    batch methods come from ``ProbeBackend`` and run on the caller's
+    thread."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads = set()  # Thread objects, kept alive so none is reused
+
+    def greedy_rollout(self, prompt, cfg):
+        self.threads.add(threading.current_thread())
+        return self.inner.greedy_rollout(prompt, cfg)
+
+    def force_score(self, prompt, continuation, cfg):
+        self.threads.add(threading.current_thread())
+        return self.inner.force_score(prompt, continuation, cfg)
+
+    def complete_text(self, prompt, max_tokens):
+        self.threads.add(threading.current_thread())
         return self.inner.complete_text(prompt, max_tokens)
 
 
@@ -276,6 +308,35 @@ class TestRunDataset:
         result = run_dataset(config)
         assert result.summary["n"] == len(miniworld.queries) - 1
 
+    def test_labeled_only_without_qrels_drops_unlabeled_queries(self, miniworld, tmp_path):
+        rows = [json.loads(ln) for ln in miniworld.dataset_path.read_text(encoding="utf-8").splitlines()]
+        rows[0]["golden_answers"] = []
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        config = world_config(
+            miniworld,
+            tmp_path / "labeled",
+            dataset_path=str(dataset),
+            qrels_path=None,
+            labeled_only=True,
+        )
+        assert run_dataset(config).summary["n"] == len(miniworld.queries) - 1
+
+    def test_stage_timings_fit_in_the_total(self, miniworld, tmp_path):
+        for record in run_dataset(world_config(miniworld, tmp_path / "t")).records:
+            t = record.timings
+            assert t["retrieve_s"] + t["rerank_s"] + t["generate_s"] <= t["total_s"]
+
+    @pytest.mark.parametrize("rerank", ["qlm", "yesno"])
+    def test_backend_called_from_parallelism_threads_only(self, miniworld, tmp_path, rerank):
+        backend = ThreadRecordingBackend(StubBackend(stub_table(miniworld)))
+        config = world_config(miniworld, tmp_path / rerank, rerank=rerank, parallelism=2)
+        result = run_dataset(config, backend)
+        assert result.failed == 0
+        # 5 candidate probes and 1 generation call per query.
+        assert all(r.probe_calls == 6 for r in result.records)
+        assert 1 <= len(backend.threads) <= 2
+
 
 class TestQueryFailureIsolation:
     def test_probe_outage_recorded_not_raised(self, miniworld, tmp_path):
@@ -321,6 +382,20 @@ class TestHttpEquivalence:
             assert a.error is None and b.error is None
             assert {f: getattr(a, f) for f in fields} == {f: getattr(b, f) for f in fields}
         # One probe batch and one generation request per query.
+        assert len(transport.payloads) == 2 * len(http_run.records)
+        assert sum(isinstance(p["prompt"], list) for p in transport.payloads) == len(http_run.records)
+
+    def test_batched_http_yesno_run_equals_stub_run(self, miniworld, tmp_path):
+        table = stub_table(miniworld)
+        transport = StubCompletions(table)
+        http = HttpBackend("http://example/v1", "test-model", transport=transport)
+        stub_run = run_dataset(world_config(miniworld, tmp_path / "stub", rerank="yesno"), StubBackend(table))
+        http_run = run_dataset(world_config(miniworld, tmp_path / "http", rerank="yesno"), http)
+        fields = ("admitted_ids", "scores", "final_prompt", "prediction", "probe_calls")
+        for a, b in zip(stub_run.records, http_run.records, strict=True):
+            assert a.error is None and b.error is None
+            assert {f: getattr(a, f) for f in fields} == {f: getattr(b, f) for f in fields}
+        # One Yes/No batch and one generation request per query.
         assert len(transport.payloads) == 2 * len(http_run.records)
         assert sum(isinstance(p["prompt"], list) for p in transport.payloads) == len(http_run.records)
 
@@ -442,3 +517,26 @@ class TestRolloutCache:
         counting.greedy_rollouts(prompts, miniworld.probe_cfg)
         assert counting.calls == 6
         assert cache.hits == 3 and len(inner.prompts) == 3
+
+    def test_yesno_through_a_widened_cache_equals_the_bare_backend(self):
+        query = Query("q", "is it here")
+        passages = [Passage("a", "alpha text"), Passage("b", "beta text")]
+        candidates = CandidateSet("q", ((passages[0], 2.0), (passages[1], 1.0)))
+        # The third and fourth entries change the score when kept.
+        first_steps = (
+            {"No": -0.1, "Yes": -0.3, "Maybe": -0.5, "yes": -0.6},
+            {"Yes": -0.2, "No": -0.4, "YES": -0.5, "x": -0.9},
+        )
+        table = {
+            "prompts": {
+                render_yesno_prompt(query, p): {"steps": [{"top_logprobs": lps}]}
+                for p, lps in zip(passages, first_steps)
+            }
+        }
+        backend = StubBackend(table)
+        cfg = ProbeConfig(top_k=2, max_tokens=8)
+        cache = RolloutCache(backend, probe_k=4)
+        cached = yesno_rerank(query, candidates, cache, cfg)
+        assert cache.misses == 2
+        assert cached == yesno_rerank(query, candidates, backend, cfg)
+        assert cached != yesno_rerank(query, candidates, backend, replace(cfg, top_k=4))

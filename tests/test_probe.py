@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import steps_from_profile
+from igp.core import CandidateSet, Passage, Query
 from igp.probe import (
     HttpBackend,
     MalformedResponseError,
@@ -20,6 +21,7 @@ from igp.probe import (
     UnknownPromptError,
     UnsupportedCapabilityError,
 )
+from igp.select import BaselineUnavailableError, qlm_rerank
 
 CFG = ProbeConfig(top_k=4, max_tokens=32)
 
@@ -347,6 +349,15 @@ def choice(index, tokens, finish_reason="stop"):
     }
 
 
+def echo_choice(index, offsets, token_logprobs):
+    """One echo-scoring choice: a logprob per token, at its text offset."""
+    return {
+        "index": index,
+        "finish_reason": "length",
+        "logprobs": {"token_logprobs": token_logprobs, "text_offset": offsets},
+    }
+
+
 class TestHttpBatch:
     def test_one_list_prompt_payload(self):
         body = {"choices": [choice(0, ["a"]), choice(1, ["b"])]}
@@ -412,6 +423,77 @@ class TestHttpBatch:
         (rollout,) = backend.greedy_rollouts(["p0"], CFG)
         assert rollout.chosen_tokens == ("a",)
         assert transport.payloads[0][1]["prompt"] == "p0"
+
+    def test_force_scores_one_list_echo_payload(self):
+        body = {"choices": [echo_choice(0, [0, 2], [None, -0.5]), echo_choice(1, [0, 2], [None, -0.7])]}
+        backend, transport = http_backend([(200, body)])
+        assert backend.force_scores(["p0", "p1"], " c", CFG) == [[-0.5], [-0.7]]
+        (url, payload), = transport.payloads
+        assert url == "http://example/v1/completions"
+        assert payload["prompt"] == ["p0 c", "p1 c"]
+        assert payload["model"] == "test-model"
+        assert payload["echo"] is True
+        assert payload["max_tokens"] == 0
+        assert payload["logprobs"] == 0
+
+    def test_force_scores_cut_at_each_prompts_own_length(self):
+        # Prompt 1's token at offset 3 lies inside prompt 1 but past the end
+        # of prompt 0, so a shared cut would either keep it or drop all of
+        # prompt 0's continuation.
+        body = {
+            "choices": [
+                echo_choice(0, [0, 2, 4], [None, -0.1, -0.2]),
+                echo_choice(1, [0, 3, 5, 6], [None, -9.0, -0.3, -0.4]),
+            ]
+        }
+        backend, _ = http_backend([(200, body)])
+        assert backend.force_scores(["a ", "bbbb "], "x y", CFG) == [[-0.1, -0.2], [-0.3, -0.4]]
+
+    def test_force_scores_choice_without_echo_fails_its_slot(self):
+        no_echo = {"index": 1, "finish_reason": "stop", "logprobs": {"tokens": []}}
+        body = {"choices": [echo_choice(0, [0, 2], [None, -0.5]), no_echo]}
+        backend, transport = http_backend([(200, body)])
+        scored, unsupported = backend.force_scores(["p0", "p1"], " c", CFG)
+        assert scored == [-0.5]
+        assert isinstance(unsupported, UnsupportedCapabilityError)
+        assert len(transport.payloads) == 1
+
+    def test_qlm_over_a_batch_without_echo_is_unavailable(self):
+        query = Query("q", "what is it")
+        passages = [Passage(f"d{i}", f"passage {i}") for i in range(3)]
+        candidates = CandidateSet("q", tuple((p, 3.0 - i) for i, p in enumerate(passages)))
+        no_echo = {"index": 2, "finish_reason": "stop", "logprobs": {"tokens": []}}
+        scored = [echo_choice(i, [0, 999], [None, -0.5]) for i in range(2)]
+        body = {"choices": [*scored, no_echo]}
+        backend, _ = http_backend([(200, body)])
+        with pytest.raises(BaselineUnavailableError) as raised:
+            qlm_rerank(query, candidates, backend, CFG)
+        lone, _ = http_backend([(200, {"choices": [no_echo]})])
+        with pytest.raises(UnsupportedCapabilityError) as alone:
+            lone.force_score("p", "cont", CFG)
+        assert str(raised.value) == f"query-likelihood baseline unavailable: {alone.value}"
+        assert type(raised.value.__cause__) is UnsupportedCapabilityError
+        assert str(raised.value.__cause__) == str(alone.value)
+
+    def test_force_scores_refused_batch_resent_one_prompt_per_request(self):
+        refusal = (404, {"error": "no response for p1"})
+        body = {"choices": [echo_choice(0, [0, 2], [None, -0.5])]}
+        backend, transport = http_backend([(404, {"error": "batch"}), (200, body), refusal])
+        first, second = backend.force_scores(["p0", "p1"], " c", CFG)
+        assert first == [-0.5]
+        lone, _ = http_backend([refusal])
+        with pytest.raises(ProbeError) as alone:
+            lone.force_score("p1", " c", CFG)
+        assert type(second) is type(alone.value)
+        assert str(second) == str(alone.value)
+        assert [payload["prompt"] for _, payload in transport.payloads] == [["p0 c", "p1 c"], "p0 c", "p1 c"]
+
+    def test_force_scores_exhausted_transport_fails_every_slot_without_resend(self):
+        backend, transport = http_backend([TransportError("boom")] * 3, max_retries=2)
+        results = backend.force_scores(["p0", "p1", "p2"], " c", CFG)
+        assert len(results) == 3
+        assert all(isinstance(r, TransportError) for r in results)
+        assert [payload["prompt"] for _, payload in transport.payloads] == [["p0 c", "p1 c", "p2 c"]] * 3
 
 
 class TestRolloutInvariants:

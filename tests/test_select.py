@@ -87,13 +87,6 @@ class TestIgpRerank:
         ranked = igp_rerank(QUERY, CANDIDATES, scripted_backend(), CFG, t_p=0.5)
         assert ranked.admitted_ids == ("d1",)
 
-    def test_parallel_matches_serial(self):
-        serial = igp_rerank(QUERY, CANDIDATES, scripted_backend(), CFG, t_p=0.05)
-        parallel = igp_rerank(
-            QUERY, CANDIDATES, scripted_backend(), CFG, t_p=0.05, parallelism=3
-        )
-        assert serial == parallel
-
     def test_failed_passage_is_rejected_with_error_not_dropped(self):
         table = {
             "prompts": {

@@ -239,14 +239,3 @@ class TestInformationGain:
         rollout = rollout_from_profiles([UNIFORM, HALF, ONEHOT])
         score = information_gain_from_rollouts(rollout, rollout, 4, "d")
         assert score.ig == 0.0
-
-    def test_common_horizon_truncates_both(self):
-        uncond = rollout_from_profiles([UNIFORM, ONEHOT, ONEHOT, ONEHOT])
-        cond = rollout_from_profiles([ONEHOT, UNIFORM])
-        full = information_gain_from_rollouts(uncond, cond, 4, "d")
-        horizon = information_gain_from_rollouts(
-            uncond, cond, 4, "d", common_horizon=True
-        )
-        # Full length: NU0 = 1/4, NUd = 1/2; two-step horizon: 1/2 vs 1/2.
-        assert full.ig == pytest.approx(-0.25, abs=1e-12)
-        assert horizon.ig == pytest.approx(0.0, abs=1e-12)
