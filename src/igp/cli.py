@@ -20,13 +20,13 @@ from .core import load_corpus
 from .evaluate import normalized_token_efficiency, spearman
 from .pipeline import (
     RERANK_METHODS,
-    RolloutCache,
     RunConfig,
     make_backend,
     read_summary_csv,
     run_dataset,
     write_summary_csv,
 )
+from .probe import Prober
 from .retrieve import Analyzer, build_index, save_index
 
 SWEEP_PARAMS = ("tp", "topm", "topk", "mt")
@@ -49,7 +49,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
-        values.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(values, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(values) - known
     if unknown:
@@ -130,7 +132,9 @@ def _parse_grid(param: str, raw: str) -> list:
     return values
 
 
-def _point_config(base: RunConfig, assignment: dict, out_dir: Path) -> RunConfig:
+def _point_config(base: RunConfig, i: int, assignment: dict) -> RunConfig:
+    label = "_".join(f"{p}={v}" for p, v in assignment.items())
+    out_dir = Path(base.out_dir) / f"point_{i:03d}_{label}"
     fields_ = {_SWEEP_FIELD[param]: value for param, value in assignment.items()}
     cfg = replace(base, out_dir=str(out_dir), **fields_)
     if "tp" in assignment:
@@ -148,15 +152,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.param2 == args.param:
             raise ValueError("the two sweep axes must differ")
         axes.append((args.param2, _parse_grid(args.param2, args.values2)))
-    sweep_dir = Path(base.out_dir)
-    sweep_dir.mkdir(parents=True, exist_ok=True)
-
     points: list[dict] = [{}]
     for param, grid in axes:
         points = [dict(p, **{param: v}) for p in points for v in grid]
+    # Every point's config is built, and so checked, before any point runs.
+    configs = [_point_config(base, i, assignment) for i, assignment in enumerate(points)]
+    sweep_dir = Path(base.out_dir)
+    sweep_dir.mkdir(parents=True, exist_ok=True)
 
-    # One backend behind one shared cache: rollouts probed for one grid point
-    # are reused wherever the point's (prompt, max-token) pair is unchanged.
+    # One prober for the whole sweep: rollouts probed for one grid point are
+    # reused wherever the point's (prompt, max-token) pair is unchanged.
     # The no-evidence rollout is probed once per query across a whole tp or
     # topm grid. When the Top-K width is swept, everything is probed once at
     # the widest K and the uncertainty math re-derives each narrower width
@@ -165,14 +170,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for param, grid in axes:
         if param == "topk":
             probe_k = max(grid)
-    backend = RolloutCache(make_backend(base), probe_k=probe_k)
+    prober = Prober(make_backend(base), probe_k=probe_k)
 
     rows = []
     exit_code = 0
-    for i, assignment in enumerate(points):
-        label = "_".join(f"{p}={v}" for p, v in assignment.items())
-        config = _point_config(base, assignment, sweep_dir / f"point_{i:03d}_{label}")
-        result = run_dataset(config, backend=backend)
+    for config in configs:
+        result = run_dataset(config, backend=prober)
         if result.failure_rate > config.failure_ceiling:
             exit_code = 1
         row = dict(result.summary)

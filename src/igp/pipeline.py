@@ -1,5 +1,5 @@
-"""End-to-end run engine: configuration, per-query records, the rollout-
-caching backend used by sweeps, and dataset-level aggregation.
+"""End-to-end run engine: configuration, per-query records, and dataset-level
+aggregation.
 
 Each run writes one directory: a config snapshot, per-query records as
 JSON-Lines, and a one-row summary CSV. Records are replayable: a record plus
@@ -10,14 +10,12 @@ nondeterministic content, so replay comparisons exclude them.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -43,10 +41,9 @@ from .probe import (
     HttpBackend,
     ProbeBackend,
     ProbeConfig,
-    Rollout,
+    Prober,
     StubBackend,
     UnsupportedCapabilityError,
-    _only,
 )
 from .retrieve import Bm25Params, InvertedIndex, load_index, search
 from .select import (
@@ -101,8 +98,13 @@ class RunConfig:
             raise ValueError("configure exactly one backend: stub_path or endpoint")
         if self.endpoint is not None and not self.model:
             raise ValueError("an HTTP backend needs a model name")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        try:
+            if self.parallelism < 1:
+                raise ValueError("parallelism must be >= 1")
+            # Build what every query builds, so a bad setting fails here.
+            self.probe_config, self.budget, Bm25Params(top_n=self.top_n)
+        except TypeError as exc:
+            raise ValueError(f"run setting of the wrong type: {exc}") from exc
 
     @property
     def probe_config(self) -> ProbeConfig:
@@ -121,102 +123,6 @@ def make_backend(config: RunConfig) -> ProbeBackend:
         model=config.model,
         api_key=os.environ.get(API_KEY_ENV),
     )
-
-
-class CountingBackend(ProbeBackend):
-    """Wrapper that counts probing calls; used for per-query accounting."""
-
-    def __init__(self, inner: ProbeBackend):
-        self._inner = inner
-        self._lock = threading.Lock()
-        self.calls = 0
-
-    def _bump(self, n: int = 1) -> None:
-        with self._lock:
-            self.calls += n
-
-    def greedy_rollout(self, prompt, cfg):
-        self._bump()
-        return self._inner.greedy_rollout(prompt, cfg)
-
-    def greedy_rollouts(self, prompts, cfg):
-        self._bump(len(prompts))
-        return self._inner.greedy_rollouts(prompts, cfg)
-
-    def force_score(self, prompt, continuation, cfg):
-        self._bump()
-        return self._inner.force_score(prompt, continuation, cfg)
-
-    def force_scores(self, prompts, continuation, cfg):
-        self._bump(len(prompts))
-        return self._inner.force_scores(prompts, continuation, cfg)
-
-    def complete_text(self, prompt, max_tokens):
-        self._bump()
-        return self._inner.complete_text(prompt, max_tokens)
-
-
-class RolloutCache(ProbeBackend):
-    """Backend wrapper that memoizes greedy rollouts across the runs of a
-    sweep.
-
-    Keyed by (prompt hash, max-token cap). The Top-K width is not part of the
-    key: a rollout probed at some width serves any smaller width, since the
-    uncertainty math truncates the recorded entries itself. With ``probe_k``
-    set, misses are probed at least that wide. A cached rollout probed at a
-    narrower width than requested is re-probed. Every other call goes to the
-    inner backend uncached and unwidened.
-    """
-
-    def __init__(self, inner: ProbeBackend, probe_k: Optional[int] = None):
-        self._inner = inner
-        self._probe_k = probe_k
-        self._lock = threading.Lock()
-        self._store: dict[tuple[str, int], tuple[int, Rollout]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def greedy_rollout(self, prompt, cfg):
-        return _only(self.greedy_rollouts([prompt], cfg))
-
-    def greedy_rollouts(self, prompts, cfg):
-        """Serves hits from the store and sends the misses to the inner
-        backend as one batch; only successful rollouts are stored."""
-        keys = [(hashlib.sha256(p.encode("utf-8")).hexdigest(), cfg.max_tokens) for p in prompts]
-        results: list = [None] * len(prompts)
-        missed: list[int] = []
-        with self._lock:
-            for i, key in enumerate(keys):
-                cached = self._store.get(key)
-                if cached is not None and cached[0] >= cfg.top_k:
-                    results[i] = cached[1]
-                    self.hits += 1
-                else:
-                    missed.append(i)
-        if not missed:
-            return results
-        if self._probe_k is not None:
-            cfg = replace(cfg, top_k=max(cfg.top_k, self._probe_k))
-        probed = self._inner.greedy_rollouts([prompts[i] for i in missed], cfg)
-        with self._lock:
-            for i, result in zip(missed, probed):
-                results[i] = result
-                if not isinstance(result, Exception):
-                    self._store[keys[i]] = (cfg.top_k, result)
-                    self.misses += 1
-        return results
-
-    def force_score(self, prompt, continuation, cfg):
-        return self._inner.force_score(prompt, continuation, cfg)
-
-    def force_scores(self, prompts, continuation, cfg):
-        return self._inner.force_scores(prompts, continuation, cfg)
-
-    def first_step_distribution(self, prompt, cfg):
-        return self._inner.first_step_distribution(prompt, cfg)
-
-    def complete_text(self, prompt, max_tokens):
-        return self._inner.complete_text(prompt, max_tokens)
 
 
 @dataclass
@@ -306,15 +212,15 @@ def rerank_candidates(
 def run_query(
     query: Query,
     index: InvertedIndex,
-    counting: CountingBackend,
+    prober: Prober,
     config: RunConfig,
     qrels: Optional[QrelSet] = None,
     prompts: PromptBundle = DEFAULT_PROMPTS,
 ) -> RunRecord:
     """retrieve -> rerank -> truncate -> render -> (generate) -> score.
 
-    ``counting`` is this query's own counter, so its ``calls`` are the
-    query's probe and generation calls."""
+    ``prober`` is this query's own view, so its ``calls`` are the query's
+    probe and generation calls."""
     t0 = time.monotonic()
     candidates = search(
         index,
@@ -323,7 +229,7 @@ def run_query(
         query_id=query.id,
     )
     t_retrieve = time.monotonic()
-    ranked = rerank_candidates(query, candidates, counting, config, prompts)
+    ranked = rerank_candidates(query, candidates, prober, config, prompts)
     t_rerank = time.monotonic()
     selected = truncate(ranked, config.budget, whitespace_token_count)
     prompt = render_answer_prompt(query, selected.passages, prompts)
@@ -331,7 +237,7 @@ def run_query(
     prediction: Optional[str] = None
     if config.generate:
         try:
-            prediction = counting.complete_text(prompt, config.answer_max_tokens)
+            prediction = prober.complete_text(prompt, config.answer_max_tokens)
         except UnsupportedCapabilityError:
             prediction = None
     t_generate = time.monotonic()
@@ -364,7 +270,7 @@ def run_query(
         f1=f1,
         input_tokens=whitespace_token_count(prompt),
         ndcg=ndcg,
-        probe_calls=counting.calls,
+        probe_calls=prober.calls,
         probe_failures=sum(1 for s in score_dicts if s["error"]),
         timings={
             "retrieve_s": t_retrieve - t0,
@@ -399,7 +305,11 @@ def run_dataset(
 ) -> RunResult:
     """Run the whole dataset, persist records and the summary row, and return
     both. Per-query failures are recorded and skipped; the caller decides
-    whether the failure rate breaches the configured ceiling."""
+    whether the failure rate breaches the configured ceiling.
+
+    Each query probes through its own ``Prober``: a view of ``backend`` when
+    that is a ``Prober`` (a sweep's, whose store serves every point), else a
+    fresh one whose store dies with the query."""
     index = load_index(config.index_path)
     queries = load_dataset(config.dataset_path)
     qrels = load_qrels(config.qrels_path) if config.qrels_path else None
@@ -417,9 +327,9 @@ def run_dataset(
     )
 
     def process(query: Query) -> RunRecord:
-        counting = CountingBackend(backend)
+        prober = backend.for_query() if isinstance(backend, Prober) else Prober(backend)
         try:
-            return run_query(query, index, counting, config, qrels, prompts)
+            return run_query(query, index, prober, config, qrels, prompts)
         except Exception as exc:
             return RunRecord(
                 query_id=query.id,
@@ -433,7 +343,7 @@ def run_dataset(
                 f1=None,
                 input_tokens=0,
                 ndcg=None,
-                probe_calls=counting.calls,
+                probe_calls=prober.calls,
                 probe_failures=0,
                 error=f"{type(exc).__name__}: {exc}",
             )

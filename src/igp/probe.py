@@ -2,7 +2,9 @@
 Top-K log-probabilities at every decoding step.
 
 Two backends ship: a table-driven stub (exact-prompt lookup, used for tests
-and fixtures) and a client for OpenAI-compatible completions endpoints.
+and fixtures) and a client for OpenAI-compatible completions endpoints. The
+rerankers reach either through a ``Prober``, which counts their prompts and
+memoizes rollouts.
 Probing always decodes greedily (temperature 0); a rollout stops at the
 backend's end-of-generation signal or at the ``max_tokens`` cap, whichever
 comes first, and the step that produced the stop signal is included.
@@ -10,6 +12,8 @@ comes first, and the step that produced the stop signal is included.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
 import math
 import threading
@@ -185,10 +189,6 @@ class ProbeBackend:
         """``force_score`` of ``continuation`` after each prompt, in order,
         with each failure in its prompt's slot as in ``greedy_rollouts``."""
         return _each(lambda prompt: self.force_score(prompt, continuation, cfg), prompts)
-
-    def first_step_distribution(self, prompt: str, cfg: ProbeConfig) -> StepDistribution:
-        """Top-K distribution of only the first generated token."""
-        return self.greedy_rollout(prompt, replace(cfg, max_tokens=1)).steps[0]
 
     def complete_text(self, prompt: str, max_tokens: int) -> str:
         """Greedy free-text completion, used for final answer generation."""
@@ -544,3 +544,87 @@ class HttpBackend(ProbeBackend):
         if text is None:
             raise MalformedResponseError("completion response has no text")
         return str(text).strip()
+
+
+class Prober(ProbeBackend):
+    """The wrapper the rerankers probe through: it counts the prompts asked
+    of it in ``calls``, cache hits included, and memoizes greedy rollouts by
+    (prompt hash, max-token cap). A stored rollout serves any Top-K width up
+    to the one it was probed at, since the uncertainty math truncates the
+    recorded entries itself; a wider request re-probes. With ``probe_k`` set,
+    misses are probed at least that wide. Forced scores and generations go to
+    the inner backend uncached and unwidened.
+    """
+
+    def __init__(self, inner: ProbeBackend, probe_k: Optional[int] = None):
+        self._inner = inner
+        self._probe_k = probe_k
+        self._lock = threading.Lock()
+        self._store: dict[tuple[str, int], tuple[int, Rollout]] = {}
+        self._tally = {"hits": 0, "misses": 0}
+        self.calls = 0
+
+    def for_query(self) -> "Prober":
+        """A view sharing this prober's backend, store and hit/miss counts,
+        whose own ``calls`` start at 0."""
+        view = copy.copy(self)
+        view.calls = 0
+        return view
+
+    @property
+    def hits(self) -> int:
+        """Rollouts served from the store, over every view."""
+        return self._tally["hits"]
+
+    @property
+    def misses(self) -> int:
+        """Rollouts probed and stored, over every view."""
+        return self._tally["misses"]
+
+    def greedy_rollout(self, prompt: str, cfg: ProbeConfig) -> Rollout:
+        return _only(self.greedy_rollouts([prompt], cfg))
+
+    def greedy_rollouts(
+        self, prompts: Sequence[str], cfg: ProbeConfig
+    ) -> list[Rollout | Exception]:
+        """Serves hits from the store and sends the misses to the inner
+        backend as one batch; only successful rollouts are stored."""
+        keys = [(hashlib.sha256(p.encode("utf-8")).hexdigest(), cfg.max_tokens) for p in prompts]
+        results: list = [None] * len(prompts)
+        missed: list[int] = []
+        with self._lock:
+            self.calls += len(prompts)
+            for i, key in enumerate(keys):
+                cached = self._store.get(key)
+                if cached is not None and cached[0] >= cfg.top_k:
+                    results[i] = cached[1]
+                    self._tally["hits"] += 1
+                else:
+                    missed.append(i)
+        if not missed:
+            return results
+        if self._probe_k is not None:
+            cfg = replace(cfg, top_k=max(cfg.top_k, self._probe_k))
+        probed = self._inner.greedy_rollouts([prompts[i] for i in missed], cfg)
+        with self._lock:
+            for i, result in zip(missed, probed):
+                results[i] = result
+                if not isinstance(result, Exception):
+                    self._store[keys[i]] = (cfg.top_k, result)
+                    self._tally["misses"] += 1
+        return results
+
+    def force_score(self, prompt: str, continuation: str, cfg: ProbeConfig) -> list[float]:
+        return _only(self.force_scores([prompt], continuation, cfg))
+
+    def force_scores(
+        self, prompts: Sequence[str], continuation: str, cfg: ProbeConfig
+    ) -> list[list[float] | Exception]:
+        with self._lock:
+            self.calls += len(prompts)
+        return self._inner.force_scores(prompts, continuation, cfg)
+
+    def complete_text(self, prompt: str, max_tokens: int) -> str:
+        with self._lock:
+            self.calls += 1
+        return self._inner.complete_text(prompt, max_tokens)

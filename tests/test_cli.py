@@ -80,6 +80,34 @@ class TestRunCommand:
         path.write_text(json.dumps({"wat": 1}), encoding="utf-8")
         assert run_cli("run", "--config", path) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--topk", "1"),
+            ("--rerank", "none", "--topk", "1"),
+            ("--topm", "0"),
+            ("--max-tokens", "0"),
+            ("--topn", "0"),
+            ("--parallelism", "0"),
+        ],
+    )
+    def test_bad_setting_rejected_before_any_query(self, world_args, tmp_path, capsys, flags):
+        out = tmp_path / "r"
+        assert run_cli("run", *world_args, *flags, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", [[1], 3, {"top_k": "wide"}])
+    def test_bad_config_document_rejected(self, world_args, tmp_path, capsys, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        args = list(world_args)
+        del args[args.index("--topk"):args.index("--topk") + 2]
+        out = tmp_path / "r"
+        assert run_cli("run", "--config", path, *args, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_missing_input_file_fails_cleanly(self, world_args, tmp_path):
         args = list(world_args)
         args[args.index("--index") + 1] = tmp_path / "missing.idx"
@@ -191,6 +219,16 @@ class TestSweepCommand:
         assert [(r["k"], r["mt"]) for r in rows] == [
             ("2", "2"), ("2", "8"), ("4", "2"), ("4", "8"),
         ]
+
+    def test_bad_grid_point_rejected_before_the_first_point(self, world_args, tmp_path, capsys):
+        out = tmp_path / "badk"
+        code = run_cli(
+            "sweep", *world_args, "--rerank", "igp", "--topm", "1",
+            "--param", "topk", "--values", "4,1", "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(out.glob("point_*")) and not list(out.glob("**/records.jsonl"))
 
     def test_duplicate_axes_rejected(self, world_args, tmp_path):
         code = run_cli(

@@ -18,8 +18,6 @@ from igp.core import (
 )
 from igp.pipeline import (
     API_KEY_ENV,
-    CountingBackend,
-    RolloutCache,
     RunConfig,
     load_passage_map,
     load_records,
@@ -30,6 +28,7 @@ from igp.probe import (
     HttpBackend,
     ProbeBackend,
     ProbeConfig,
+    Prober,
     StubBackend,
     UnknownPromptError,
 )
@@ -337,6 +336,20 @@ class TestRunDataset:
         assert all(r.probe_calls == 6 for r in result.records)
         assert 1 <= len(backend.threads) <= 2
 
+    def test_run_keeps_no_rollouts_across_queries(self, miniworld, tmp_path):
+        # Two queries share a question, so they share the no-evidence prompt;
+        # each query probes through a store of its own.
+        lines = miniworld.dataset_path.read_text(encoding="utf-8").splitlines()
+        twin = dict(json.loads(lines[0]), id="q0-twin")
+        dataset = tmp_path / "twins.jsonl"
+        dataset.write_text("\n".join([*lines, json.dumps(twin)]) + "\n", encoding="utf-8")
+        backend = RecordingBackend(StubBackend(stub_table(miniworld)))
+        config = world_config(miniworld, tmp_path / "twins", dataset_path=str(dataset))
+        result = run_dataset(config, backend)
+        assert result.failed == 0
+        shared = render_probe_prompt(load_dataset(dataset)[-1], None)
+        assert backend.prompts.count(shared) == 2
+
 
 class TestQueryFailureIsolation:
     def test_probe_outage_recorded_not_raised(self, miniworld, tmp_path):
@@ -407,7 +420,7 @@ class TestRolloutCache:
         )
         cfg = miniworld.probe_cfg
         queries = load_dataset(miniworld.dataset_path)
-        cache = RolloutCache(backend)
+        cache = Prober(backend)
         for query in queries:
             prompt = render_probe_prompt(query, None)
             cached_nu = sequence_nu(cache.greedy_rollout(prompt, cfg), cfg.top_k)
@@ -422,7 +435,7 @@ class TestRolloutCache:
             json.loads(miniworld.stub_path.read_text(encoding="utf-8"))
         )
         prompt = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
-        cache = RolloutCache(backend)
+        cache = Prober(backend)
         cache.greedy_rollout(prompt, ProbeConfig(top_k=2, max_tokens=8))
         rollout = cache.greedy_rollout(prompt, ProbeConfig(top_k=4, max_tokens=8))
         assert cache.misses == 2
@@ -433,7 +446,7 @@ class TestRolloutCache:
             json.loads(miniworld.stub_path.read_text(encoding="utf-8"))
         )
         prompt = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
-        cache = RolloutCache(backend, probe_k=4)
+        cache = Prober(backend, probe_k=4)
         rollout = cache.greedy_rollout(prompt, ProbeConfig(top_k=2, max_tokens=8))
         assert cache.misses == 1
         # Recorded at width 4; the uncertainty math truncates to 2 itself,
@@ -451,23 +464,12 @@ class TestRolloutCache:
             json.loads(miniworld.stub_path.read_text(encoding="utf-8"))
         )
         prompt = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
-        cache = RolloutCache(backend)
+        cache = Prober(backend)
         short = cache.greedy_rollout(prompt, ProbeConfig(top_k=4, max_tokens=2))
         long = cache.greedy_rollout(prompt, ProbeConfig(top_k=4, max_tokens=8))
         assert short.effective_length == 2
         assert long.effective_length == 4
         assert cache.misses == 2
-
-    def test_first_step_distribution_is_neither_cached_nor_widened(self, miniworld):
-        # Yes/No scoring under a topk sweep must see the width it asked for.
-        backend = StubBackend(
-            json.loads(miniworld.stub_path.read_text(encoding="utf-8"))
-        )
-        prompt = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
-        cache = RolloutCache(backend, probe_k=4)
-        step = cache.first_step_distribution(prompt, ProbeConfig(top_k=2, max_tokens=8))
-        assert len(step.entries) == 2
-        assert cache.hits == cache.misses == 0
 
     def test_batch_never_forwards_hits(self, miniworld):
         inner = RecordingBackend(StubBackend(stub_table(miniworld)))
@@ -477,7 +479,7 @@ class TestRolloutCache:
             p for p in stub_table(miniworld)["prompts"] if p.startswith(f"User: {query.question}\nContext:\n")
         ][:2]
         assert len(others) == 2
-        cache = RolloutCache(inner)
+        cache = Prober(inner)
         cache.greedy_rollout(hit, cfg)
         inner.batches.clear()
         results = cache.greedy_rollouts([hit, *others], cfg)
@@ -488,7 +490,7 @@ class TestRolloutCache:
     def test_batch_misses_go_out_once_widened(self, miniworld):
         inner = RecordingBackend(StubBackend(stub_table(miniworld)))
         prompts = [render_probe_prompt(q, None) for q in load_dataset(miniworld.dataset_path)[:3]]
-        cache = RolloutCache(inner, probe_k=4)
+        cache = Prober(inner, probe_k=4)
         results = cache.greedy_rollouts(prompts, ProbeConfig(top_k=2, max_tokens=8))
         ((sent, cfg),) = inner.batches
         assert sent == prompts and cfg.top_k == 4
@@ -501,7 +503,7 @@ class TestRolloutCache:
         inner = RecordingBackend(StubBackend(table))
         cfg = miniworld.probe_cfg
         good = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
-        cache = RolloutCache(inner)
+        cache = Prober(inner)
         for _ in range(2):
             missing, rollout = cache.greedy_rollouts(["no such prompt", good], cfg)
             assert isinstance(missing, UnknownPromptError)
@@ -511,12 +513,29 @@ class TestRolloutCache:
     def test_counting_counts_every_prompt_hits_included(self, miniworld):
         inner = RecordingBackend(StubBackend(stub_table(miniworld)))
         prompts = [render_probe_prompt(q, None) for q in load_dataset(miniworld.dataset_path)[:3]]
-        cache = RolloutCache(inner)
-        counting = CountingBackend(cache)
+        cache = Prober(inner)
+        counting = cache.for_query()
         counting.greedy_rollouts(prompts, miniworld.probe_cfg)
         counting.greedy_rollouts(prompts, miniworld.probe_cfg)
         assert counting.calls == 6
         assert cache.hits == 3 and len(inner.prompts) == 3
+
+    def test_views_share_the_store_and_count_their_own_calls(self, miniworld):
+        inner = RecordingBackend(StubBackend(stub_table(miniworld)))
+        prompts = [render_probe_prompt(q, None) for q in load_dataset(miniworld.dataset_path)[:3]]
+        prober = Prober(inner)
+        views = [prober.for_query(), prober.for_query()]
+        for view in views:
+            view.greedy_rollouts(prompts, miniworld.probe_cfg)
+        assert [view.calls for view in views] == [3, 3]
+        assert len(inner.prompts) == 3
+        assert prober.hits == views[0].hits == 3
+        assert views[0].for_query().calls == 0
+        stub = StubBackend(stub_table(miniworld))
+        view = Prober(stub).for_query()
+        scores = view.force_score(prompts[0], "amber0 beacon0", miniworld.probe_cfg)
+        assert scores == stub.force_score(prompts[0], "amber0 beacon0", miniworld.probe_cfg)
+        assert view.calls == 1
 
     def test_yesno_through_a_widened_cache_equals_the_bare_backend(self):
         query = Query("q", "is it here")
@@ -535,7 +554,7 @@ class TestRolloutCache:
         }
         backend = StubBackend(table)
         cfg = ProbeConfig(top_k=2, max_tokens=8)
-        cache = RolloutCache(backend, probe_k=4)
+        cache = Prober(backend, probe_k=4)
         cached = yesno_rerank(query, candidates, cache, cfg)
         assert cache.misses == 2
         assert cached == yesno_rerank(query, candidates, backend, cfg)

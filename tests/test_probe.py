@@ -172,17 +172,6 @@ class TestStubForceScore:
 
 
 class TestStubFirstStepAndText:
-    def test_first_step_matches_rollout_step_one(self):
-        backend = stub({"p": {"steps": steps_from_profile("uou")}})
-        first = backend.first_step_distribution("p", CFG)
-        assert first == backend.greedy_rollout("p", CFG).steps[0]
-
-    def test_yes_no_distribution(self):
-        backend = stub({"p": {"steps": [{"top_logprobs": {"Yes": -0.1, "No": -2.4}}]}})
-        step = backend.first_step_distribution("p", CFG)
-        assert dict(step.entries) == {"Yes": -0.1, "No": -2.4}
-        assert step.chosen_token == "Yes"
-
     def test_complete_text_prefers_explicit_text(self):
         backend = stub({"p": {"steps": steps_from_profile("u"), "text": " Paris "}})
         assert backend.complete_text("p", 8) == "Paris"
