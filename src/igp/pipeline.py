@@ -64,6 +64,10 @@ RERANK_METHODS = ("none", "ig", "igp", "qlm", "yesno")
 SUMMARY_COLUMNS = ("method", "topm", "tp", "f1", "tk", "nte", "ndcg", "n")
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Everything one end-to-end run needs. Exactly one probing backend may
@@ -98,6 +102,13 @@ class RunConfig:
             raise ValueError("configure exactly one backend: stub_path or endpoint")
         if self.endpoint is not None and not self.model:
             raise ValueError("an HTTP backend needs a model name")
+        # -inf is a valid threshold (admit everything); sweeps use it.
+        if not _is_number(self.tp) or math.isnan(self.tp):
+            raise ValueError(f"tp must be a number, not {self.tp!r}")
+        if not (_is_number(self.failure_ceiling) and 0.0 <= self.failure_ceiling <= 1.0):
+            raise ValueError(
+                f"failure_ceiling must be a number in [0, 1], not {self.failure_ceiling!r}"
+            )
         try:
             if self.parallelism < 1:
                 raise ValueError("parallelism must be >= 1")

@@ -108,6 +108,37 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"tp": "wide"},
+            {"tp": float("nan")},
+            {"tp": True},
+            {"failure_ceiling": "x"},
+            {"failure_ceiling": 1.5},
+            {"failure_ceiling": -0.1},
+        ],
+    )
+    def test_bad_tp_or_failure_ceiling_rejected(self, world_args, tmp_path, capsys, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        out = tmp_path / "r"
+        assert run_cli("run", "--config", path, *world_args, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [("--tp", "nan"), ("--failure-ceiling", "2")])
+    def test_bad_tp_or_failure_ceiling_flag_rejected(self, world_args, tmp_path, capsys, flags):
+        out = tmp_path / "r"
+        assert run_cli("run", *world_args, *flags, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_minus_infinity_tp_accepted(self, world_args, tmp_path):
+        out = tmp_path / "r"
+        assert run_cli("run", *world_args, "--rerank", "igp", "--tp=-inf", "--out", out) == 0
+        assert read_summary_csv(out / "summary.csv")[0]["tp"] == "-inf"
+
     def test_missing_input_file_fails_cleanly(self, world_args, tmp_path):
         args = list(world_args)
         args[args.index("--index") + 1] = tmp_path / "missing.idx"
