@@ -164,8 +164,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # reused wherever the point's (prompt, max-token) pair is unchanged.
     # The no-evidence rollout is probed once per query across a whole tp or
     # topm grid. When the Top-K width is swept, everything is probed once at
-    # the widest K and the uncertainty math re-derives each narrower width
-    # from the recorded steps.
+    # the widest K. Every point gets the same rollout object, which keeps its
+    # NU per width, so each rollout's NU is computed once per width.
     probe_k = None
     for param, grid in axes:
         if param == "topk":

@@ -18,7 +18,7 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
@@ -112,6 +112,9 @@ class Rollout:
     steps: tuple[StepDistribution, ...]
     terminated_by: str
     eos_signal: Optional[str] = None
+    # NU per (k, mt), filled by ``uncertainty.sequence_nu``; outside equality,
+    # hashing and repr, and empty again after ``replace``.
+    _nu_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.steps:

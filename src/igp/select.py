@@ -155,9 +155,9 @@ def igp_rerank(
 
     The no-evidence prompt and the candidate prompts, in retriever order,
     go to the backend as one batch of N+1 probes, so they share their
-    question prefix; the no-evidence rollout is shared across all
-    candidates. Passing ``t_p = -inf`` disables pruning and reduces to pure
-    IG reordering.
+    question prefix; the no-evidence rollout, and so its NU, is shared
+    across all candidates. Passing ``t_p = -inf`` disables pruning and
+    reduces to pure IG reordering.
     """
     if not candidates.candidates:
         raise ValueError("candidates must be non-empty")

@@ -148,7 +148,13 @@ def nu_from_steps(
 
 
 def sequence_nu(rollout: Rollout, k: int, mt: Optional[int] = None) -> NuValue:
-    return nu_from_steps(rollout.steps, k, mt)
+    """``nu_from_steps`` of the rollout's steps, computed once per (k, mt) and
+    kept on the rollout for as long as the rollout lives. Threads racing on
+    one rollout may both compute a value, never store a different one."""
+    nu = rollout._nu_memo.get((k, mt))
+    if nu is None:
+        nu = rollout._nu_memo[(k, mt)] = nu_from_steps(rollout.steps, k, mt)
+    return nu
 
 
 def information_gain(

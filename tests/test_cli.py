@@ -56,6 +56,14 @@ class TestRunCommand:
             "method", "topm", "tp", "f1", "tk", "nte", "ndcg", "n",
         ]
 
+    def test_igp_run_computes_each_rollouts_nu_once(self, world_args, tmp_path, nu_computations):
+        out = tmp_path / "run"
+        assert run_cli("run", *world_args, "--rerank", "igp", "--topm", "1", "--out", out) == 0
+        records = load_records(out / "records.jsonl")
+        # The no-evidence NU is shared by the query's 5 candidates: N+1 NUs.
+        assert len(records) == 10
+        assert len(nu_computations) == len(records) * (5 + 1)
+
     def test_config_file_with_flag_override(self, miniworld, tmp_path):
         config = {
             "index_path": str(miniworld.index_path),
@@ -222,6 +230,24 @@ class TestSweepCommand:
             assert swept == ran
             assert all(r["probe_calls"] == 7 for r in swept)
 
+    def test_sweep_computes_each_rollouts_nu_once_per_width(
+        self, world_args, tmp_path, nu_computations
+    ):
+        # 2 tp x 2 topk points: every rollout is probed once at K=4, and its
+        # NU is computed once at each width, not once per point.
+        out = tmp_path / "tpk"
+        assert run_cli(
+            "sweep", *world_args, "--rerank", "igp", "--topm", "1",
+            "--param", "tp", "--values", "0.05,0.5",
+            "--param2", "topk", "--values2", "2,4", "--out", out,
+        ) == 0
+        points = sorted(out.glob("point_*"))
+        assert len(points) == 4
+        queries = len(load_records(points[0] / "records.jsonl"))
+        assert queries == 10
+        assert len(nu_computations) == queries * (5 + 1) * 2
+        assert sorted({k for k, _ in nu_computations}) == [2, 4]
+
     def test_stub_table_parsed_once_per_sweep(self, world_args, tmp_path, monkeypatch):
         load = StubBackend.load
         paths = []
@@ -324,5 +350,6 @@ class TestReport:
         assert {r["method"]: r["dominated"] for r in pareto} == {
             "none": "false", "igp": "false", "qlm": "true",
         }
-        corr = list(csv.DictReader(open(out / "correlation.csv")))
+        with open(out / "correlation.csv") as fh:
+            corr = list(csv.DictReader(fh))
         assert float(corr[0]["spearman_ndcg_f1"]) == pytest.approx(-1.0)

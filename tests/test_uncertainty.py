@@ -5,6 +5,7 @@ The entropy oracle recomputes probabilities by direct exp/sum and sums
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +209,48 @@ class TestSequenceNu:
         single = sequence_nu(rollout_from_profiles(dists), 2)
         doubled = sequence_nu(rollout_from_profiles(dists * 2), 2)
         assert doubled.value == pytest.approx(single.value, abs=1e-12)
+
+
+class TestNuMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(min_value=-30.0, max_value=5.0, allow_nan=False), min_size=2, max_size=8),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(
+            st.tuples(st.integers(min_value=2, max_value=9), st.sampled_from([None, 1, 8, 32])),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_memoized_nu_equals_a_fresh_computation(self, step_values, calls):
+        # One rollout asked at mixed widths and caps, in any order and with
+        # repeats: no (k, mt) ever answers with another one's value.
+        rollout = rollout_from_profiles(
+            [{f"t{i:03d}": lp for i, lp in enumerate(values)} for values in step_values]
+        )
+        for k, mt in calls:
+            assert sequence_nu(rollout, k, mt) == nu_from_steps(rollout.steps, k, mt)
+
+    def test_repeated_call_computes_once(self, nu_computations):
+        rollout = rollout_from_profiles([UNIFORM, HALF])
+        for k, mt in [(4, 8), (2, 8), (4, 8), (4, None), (2, 8), (4, None)]:
+            sequence_nu(rollout, k, mt)
+        assert nu_computations == [(4, 8), (2, 8), (4, None)]
+
+    def test_memo_outside_equality_hash_repr_and_replace(self):
+        a = rollout_from_profiles([UNIFORM, HALF])
+        b = rollout_from_profiles([UNIFORM, HALF])
+        sequence_nu(a, 4, 8)
+        sequence_nu(a, 2)
+        assert a._nu_memo and not b._nu_memo
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and "memo" not in repr(a)
+        fresh = replace(a, eos_signal="step_flag")
+        assert fresh._nu_memo == {}
+        assert fresh._nu_memo is not a._nu_memo
 
 
 class TestInformationGain:
