@@ -18,9 +18,14 @@ import argparse
 import json
 from pathlib import Path
 
-from igp.core import Passage, Query, render_answer_prompt, render_probe_prompt
+from igp.core import (
+    DEFAULT_YESNO_TEMPLATE,
+    Passage,
+    Query,
+    render_answer_prompt,
+    render_probe_prompt,
+)
 from igp.retrieve import Analyzer, Bm25Params, build_index, search
-from igp.select import DEFAULT_YESNO_TEMPLATE
 
 TOPICS = [
     ("q0", "where does one find the cobalt lantern today", "ivory harbor"),

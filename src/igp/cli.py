@@ -29,9 +29,9 @@ from .pipeline import (
 from .probe import Prober
 from .retrieve import Analyzer, build_index, save_index
 
-SWEEP_PARAMS = ("tp", "topm", "topk", "mt")
-
 _SWEEP_FIELD = {"tp": "tp", "topm": "top_m", "topk": "top_k", "mt": "max_tokens"}
+
+SWEEP_PARAMS = tuple(_SWEEP_FIELD)
 
 
 def cmd_index(args: argparse.Namespace) -> int:

@@ -101,6 +101,16 @@ DEFAULT_PROBE_UNCONDITIONAL = "User: {question}\nAssistant:"
 
 DEFAULT_PROBE_CONDITIONAL = "User: {question}\nContext:\n{context}\nAssistant:"
 
+# Invented; the generator-as-classifier baseline needs some fixed question
+# prompt and none is standardized.
+DEFAULT_YESNO_TEMPLATE = (
+    "User: {question}\n"
+    "Context:\n"
+    "{context}\n"
+    "Does this document answer the question? Answer Yes or No.\n"
+    "Assistant:"
+)
+
 _SLOT_RE = re.compile(r"\{(reference|question|context)\}")
 
 
@@ -108,29 +118,6 @@ def _render(template: str, slots: dict[str, str]) -> str:
     # Single-pass substitution: slot text inserted from user content is never
     # re-scanned, so braces inside passages or questions cannot inject slots.
     return _SLOT_RE.sub(lambda m: slots[m.group(1)], template)
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    """The two fixed prompt templates: final answer generation and the short
-    uncertainty-probing pair (no-evidence / single-evidence)."""
-
-    answer_template: str = DEFAULT_ANSWER_TEMPLATE
-    probe_unconditional: str = DEFAULT_PROBE_UNCONDITIONAL
-    probe_conditional: str = DEFAULT_PROBE_CONDITIONAL
-
-    def __post_init__(self) -> None:
-        for slot in ("{reference}", "{question}"):
-            if slot not in self.answer_template:
-                raise ValueError(f"answer_template missing {slot}")
-        if "{question}" not in self.probe_unconditional:
-            raise ValueError("probe_unconditional missing {question}")
-        for slot in ("{question}", "{context}"):
-            if slot not in self.probe_conditional:
-                raise ValueError(f"probe_conditional missing {slot}")
-
-
-DEFAULT_PROMPTS = PromptBundle()
 
 
 def format_reference(passages: Sequence[Passage]) -> str:
@@ -142,36 +129,37 @@ def format_reference(passages: Sequence[Passage]) -> str:
     return "\n".join(f"[DOC {i}] {p.text}" for i, p in enumerate(passages, 1))
 
 
-def render_answer_prompt(
-    query: Query,
-    passages: Sequence[Passage],
-    prompts: PromptBundle = DEFAULT_PROMPTS,
-) -> str:
+def render_answer_prompt(query: Query, passages: Sequence[Passage]) -> str:
     """Render the final answer-generation prompt over the retained evidence."""
     return _render(
-        prompts.answer_template,
+        DEFAULT_ANSWER_TEMPLATE,
         {"reference": format_reference(passages), "question": query.question},
     )
 
 
-def render_probe_prompt(
-    query: Query,
-    passage: Optional[Passage] = None,
-    prompts: PromptBundle = DEFAULT_PROMPTS,
-) -> str:
+def render_probe_prompt(query: Query, passage: Optional[Passage] = None) -> str:
     """Render the probing prompt; with a passage the conditional template is
     used, otherwise the no-evidence template. For a fixed query the two
     renderings differ only in the context block."""
     if passage is None:
-        return _render(prompts.probe_unconditional, {"question": query.question})
+        return _render(DEFAULT_PROBE_UNCONDITIONAL, {"question": query.question})
     return _render(
-        prompts.probe_conditional,
+        DEFAULT_PROBE_CONDITIONAL,
         {"question": query.question, "context": passage.text},
     )
 
 
-def load_corpus(path: str | Path) -> Iterator[Passage]:
-    """Stream passages from a JSON-Lines corpus of {"id", "contents"} objects."""
+def render_yesno_prompt(query: Query, passage: Passage) -> str:
+    """Render the Yes/No baseline's relevance question over one passage."""
+    return _render(
+        DEFAULT_YESNO_TEMPLATE,
+        {"question": query.question, "context": passage.text},
+    )
+
+
+def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of a JSON-Lines
+    file. Every line must be a JSON object with a non-empty "id"."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -181,27 +169,45 @@ def load_corpus(path: str | Path) -> Iterator[Passage]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON") from exc
-            yield Passage(id=str(obj["id"]), text=obj["contents"])
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
+            if obj.get("id") in (None, ""):
+                raise ValueError(f"{path}:{lineno}: field 'id' is missing or empty")
+            yield lineno, obj
+
+
+def _nonempty_str(value: object) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def load_corpus(path: str | Path) -> Iterator[Passage]:
+    """Stream passages from a JSON-Lines corpus of {"id", "contents"} objects."""
+    for lineno, obj in _read_jsonl(path):
+        text = obj.get("contents")
+        if not _nonempty_str(text):
+            raise ValueError(
+                f"{path}:{lineno}: field 'contents' must be a non-empty string"
+            )
+        yield Passage(id=str(obj["id"]), text=text)
 
 
 def load_dataset(path: str | Path) -> list[Query]:
     """Load queries from a JSON-Lines dataset of
     {"id", "question", "golden_answers"} objects."""
     queries: list[Query] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON") from exc
-            queries.append(
-                Query(
-                    id=str(obj["id"]),
-                    question=obj["question"],
-                    gold_answers=tuple(obj.get("golden_answers", ())),
-                )
+    for lineno, obj in _read_jsonl(path):
+        question = obj.get("question")
+        answers = obj.get("golden_answers", [])
+        if not _nonempty_str(question):
+            raise ValueError(
+                f"{path}:{lineno}: field 'question' must be a non-empty string"
             )
+        if not (isinstance(answers, list) and all(map(_nonempty_str, answers))):
+            raise ValueError(
+                f"{path}:{lineno}: field 'golden_answers' must be a list of "
+                "non-empty strings"
+            )
+        queries.append(
+            Query(id=str(obj["id"]), question=question, gold_answers=tuple(answers))
+        )
     return queries

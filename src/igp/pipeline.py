@@ -23,8 +23,6 @@ from .core import (
     CandidateSet,
     EvidenceBudget,
     Passage,
-    PromptBundle,
-    DEFAULT_PROMPTS,
     Query,
     load_corpus,
     load_dataset,
@@ -47,7 +45,6 @@ from .probe import (
 )
 from .retrieve import Bm25Params, InvertedIndex, load_index, search
 from .select import (
-    DEFAULT_YESNO_TEMPLATE,
     RankedList,
     igp_rerank,
     qlm_rerank,
@@ -93,7 +90,6 @@ class RunConfig:
     generate: bool = True
     labeled_only: bool = False
     failure_ceiling: float = 0.0
-    yesno_template: str = DEFAULT_YESNO_TEMPLATE
 
     def __post_init__(self) -> None:
         if self.rerank not in RERANK_METHODS:
@@ -143,16 +139,16 @@ class RunRecord:
     query_id: str
     question: str
     method: str
-    candidates: list[dict]
-    scores: list[dict]
-    admitted_ids: list[str]
-    final_prompt: str
-    prediction: Optional[str]
-    f1: Optional[float]
-    input_tokens: int
-    ndcg: Optional[float]
     probe_calls: int
-    probe_failures: int
+    candidates: list[dict] = field(default_factory=list)
+    scores: list[dict] = field(default_factory=list)
+    admitted_ids: list[str] = field(default_factory=list)
+    final_prompt: str = ""
+    prediction: Optional[str] = None
+    f1: Optional[float] = None
+    input_tokens: int = 0
+    ndcg: Optional[float] = None
+    probe_failures: int = 0
     timings: dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
 
@@ -182,7 +178,6 @@ def rerank_candidates(
     candidates: CandidateSet,
     backend: ProbeBackend,
     config: RunConfig,
-    prompts: PromptBundle = DEFAULT_PROMPTS,
 ) -> RankedList:
     """Dispatch to the configured rerank method. "ig" is pure information-
     gain reordering (threshold disabled); "none" keeps retriever order."""
@@ -193,30 +188,11 @@ def rerank_candidates(
         return retriever_ranked(candidates)
     if method in ("ig", "igp"):
         t_p = float("-inf") if method == "ig" else config.tp
-        return igp_rerank(
-            query,
-            candidates,
-            backend,
-            config.probe_config,
-            t_p,
-            prompts=prompts,
-        )
+        return igp_rerank(query, candidates, backend, config.probe_config, t_p)
     if method == "qlm":
-        return qlm_rerank(
-            query,
-            candidates,
-            backend,
-            config.probe_config,
-            prompts=prompts,
-        )
+        return qlm_rerank(query, candidates, backend, config.probe_config)
     if method == "yesno":
-        return yesno_rerank(
-            query,
-            candidates,
-            backend,
-            config.probe_config,
-            yesno_template=config.yesno_template,
-        )
+        return yesno_rerank(query, candidates, backend, config.probe_config)
     raise ValueError(f"unknown rerank method {method!r}")
 
 
@@ -226,7 +202,6 @@ def run_query(
     prober: Prober,
     config: RunConfig,
     qrels: Optional[QrelSet] = None,
-    prompts: PromptBundle = DEFAULT_PROMPTS,
 ) -> RunRecord:
     """retrieve -> rerank -> truncate -> render -> (generate) -> score.
 
@@ -240,10 +215,10 @@ def run_query(
         query_id=query.id,
     )
     t_retrieve = time.monotonic()
-    ranked = rerank_candidates(query, candidates, prober, config, prompts)
+    ranked = rerank_candidates(query, candidates, prober, config)
     t_rerank = time.monotonic()
-    selected = truncate(ranked, config.budget, whitespace_token_count)
-    prompt = render_answer_prompt(query, selected.passages, prompts)
+    selected = truncate(ranked, config.budget)
+    prompt = render_answer_prompt(query, selected.passages)
 
     prediction: Optional[str] = None
     if config.generate:
@@ -309,11 +284,7 @@ class RunResult:
         return self.failed / len(self.records) if self.records else 0.0
 
 
-def run_dataset(
-    config: RunConfig,
-    backend: Optional[ProbeBackend] = None,
-    prompts: PromptBundle = DEFAULT_PROMPTS,
-) -> RunResult:
+def run_dataset(config: RunConfig, backend: Optional[ProbeBackend] = None) -> RunResult:
     """Run the whole dataset, persist records and the summary row, and return
     both. Per-query failures are recorded and skipped; the caller decides
     whether the failure rate breaches the configured ceiling.
@@ -340,22 +311,13 @@ def run_dataset(
     def process(query: Query) -> RunRecord:
         prober = backend.for_query() if isinstance(backend, Prober) else Prober(backend)
         try:
-            return run_query(query, index, prober, config, qrels, prompts)
+            return run_query(query, index, prober, config, qrels)
         except Exception as exc:
             return RunRecord(
                 query_id=query.id,
                 question=query.question,
                 method=config.rerank,
-                candidates=[],
-                scores=[],
-                admitted_ids=[],
-                final_prompt="",
-                prediction=None,
-                f1=None,
-                input_tokens=0,
-                ndcg=None,
                 probe_calls=prober.calls,
-                probe_failures=0,
                 error=f"{type(exc).__name__}: {exc}",
             )
 

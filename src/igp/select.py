@@ -15,7 +15,6 @@ baseline (no reference point for any score) aborts.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
@@ -23,10 +22,9 @@ from .core import (
     CandidateSet,
     EvidenceBudget,
     Passage,
-    PromptBundle,
-    DEFAULT_PROMPTS,
     Query,
     render_probe_prompt,
+    render_yesno_prompt,
 )
 from .probe import ProbeBackend, ProbeConfig, Rollout, UnsupportedCapabilityError
 from .uncertainty import (
@@ -35,30 +33,14 @@ from .uncertainty import (
     topk_renormalize,
 )
 
-SCORE_KINDS = ("ig", "qlm", "yesno", "retriever")
-
-# Invented default; the generator-as-classifier baseline needs some fixed
-# question prompt and none is standardized. Override via yesno_template.
-DEFAULT_YESNO_TEMPLATE = (
-    "User: {question}\n"
-    "Context:\n"
-    "{context}\n"
-    "Does this document answer the question? Answer Yes or No.\n"
-    "Assistant:"
-)
-
 
 class BaselineUnavailableError(Exception):
     """The backend lacks a capability this baseline requires."""
 
 
 def whitespace_token_count(text: str) -> int:
-    """Default token counter. A backend tokenizer can be injected instead
-    when exact accounting against a specific model is needed."""
+    """The token counter behind the passage-token guard and TK."""
     return len(text.split())
-
-
-TokenCounter = Callable[[str], int]
 
 
 @dataclass(frozen=True)
@@ -149,7 +131,6 @@ def igp_rerank(
     backend: ProbeBackend,
     cfg: ProbeConfig,
     t_p: float,
-    prompts: PromptBundle = DEFAULT_PROMPTS,
 ) -> RankedList:
     """Rerank candidates by information gain and admit those with IG >= t_p.
 
@@ -163,7 +144,7 @@ def igp_rerank(
         raise ValueError("candidates must be non-empty")
     passages = [passage for passage, _ in candidates.candidates]
     uncond, *conds = backend.greedy_rollouts(
-        [render_probe_prompt(query, p, prompts) for p in (None, *passages)], cfg
+        [render_probe_prompt(query, p) for p in (None, *passages)], cfg
     )
     # Unconditional NU unavailable means no candidate can be scored: abort.
     if isinstance(uncond, Exception):
@@ -183,7 +164,6 @@ def qlm_rerank(
     candidates: CandidateSet,
     backend: ProbeBackend,
     cfg: ProbeConfig,
-    prompts: PromptBundle = DEFAULT_PROMPTS,
 ) -> RankedList:
     """Query-likelihood baseline: score each candidate by the mean per-token
     logprob of the question forced after the document-conditioned probing
@@ -191,7 +171,7 @@ def qlm_rerank(
     if not candidates.candidates:
         return RankedList(query_id=candidates.query_id, entries=())
     results = backend.force_scores(
-        [render_probe_prompt(query, p, prompts) for p, _ in candidates.candidates],
+        [render_probe_prompt(query, p) for p, _ in candidates.candidates],
         query.question,
         cfg,
     )
@@ -215,7 +195,6 @@ def yesno_rerank(
     candidates: CandidateSet,
     backend: ProbeBackend,
     cfg: ProbeConfig,
-    yesno_template: str = DEFAULT_YESNO_TEMPLATE,
 ) -> RankedList:
     """Yes/No baseline: score each candidate by the renormalized first-step
     probability mass on the affirmative token (case-insensitive "Yes" after
@@ -226,14 +205,9 @@ def yesno_rerank(
     narrow probe does."""
     if not candidates.candidates:
         return RankedList(query_id=candidates.query_id, entries=())
-    slot_re = re.compile(r"\{(question|context)\}")
-
-    def render(passage: Passage) -> str:
-        slots = {"question": query.question, "context": passage.text}
-        return slot_re.sub(lambda m: slots[m.group(1)], yesno_template)
-
     rollouts = backend.greedy_rollouts(
-        [render(p) for p, _ in candidates.candidates], replace(cfg, max_tokens=1)
+        [render_yesno_prompt(query, p) for p, _ in candidates.candidates],
+        replace(cfg, max_tokens=1),
     )
 
     def score(passage: Passage, rollout: Rollout) -> tuple[float, bool, None]:
@@ -265,11 +239,7 @@ def retriever_ranked(candidates: CandidateSet) -> RankedList:
     return RankedList(query_id=candidates.query_id, entries=_sort_entries(entries))
 
 
-def truncate(
-    ranked: RankedList,
-    budget: EvidenceBudget,
-    token_counter: TokenCounter = whitespace_token_count,
-) -> SelectedEvidence:
+def truncate(ranked: RankedList, budget: EvidenceBudget) -> SelectedEvidence:
     """Budget executor: keep admitted entries in order, at most M of them.
 
     When the token guard is set, the admitted prefix is scanned and the scan
@@ -281,7 +251,7 @@ def truncate(
     for entry in ranked.admitted_entries:
         if len(kept) >= budget.top_m:
             break
-        n = token_counter(entry.passage.text)
+        n = whitespace_token_count(entry.passage.text)
         if budget.token_guard is not None and total + n > budget.token_guard:
             break
         kept.append(entry.passage)

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 from igp.core import (
+    DEFAULT_YESNO_TEMPLATE,
     Passage,
     Query,
     render_answer_prompt,
@@ -21,7 +22,6 @@ from igp.core import (
 )
 from igp.probe import ProbeConfig, StepDistribution
 from igp.retrieve import Analyzer, Bm25Params, build_index, save_index, search
-from igp.select import DEFAULT_YESNO_TEMPLATE
 
 UNIFORM = {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
 ONEHOT = {"a": 0.0, "b": -1000.0, "c": -1000.0, "d": -1000.0}

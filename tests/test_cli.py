@@ -3,6 +3,8 @@ and the report tables (Pareto dominance, NDCG-F1 correlation)."""
 
 import csv
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -83,10 +85,12 @@ class TestRunCommand:
         rows = read_summary_csv(out / "summary.csv")
         assert rows[0]["method"] == "yesno"
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"wat": 1}), encoding="utf-8")
-        assert run_cli("run", "--config", path) == 2
+    def test_unknown_config_key_rejected(self, world_args, tmp_path):
+        path, out = tmp_path / "bad.json", tmp_path / "r"
+        for document in ({"wat": 1}, {"yesno_template": "User: {question}\nAssistant:"}):
+            path.write_text(json.dumps(document), encoding="utf-8")
+            assert run_cli("run", *world_args, "--config", path, "--out", out) == 2
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -174,6 +178,28 @@ class TestRunCommand:
             run_cli(*common, "--failure-ceiling", "0.5", "--out", tmp_path / "lax")
             == 0
         )
+
+
+def test_readme_quick_start(tmp_path):
+    # README's quick start: build the demo world, index it, and compare the
+    # pruned run with retriever order.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_fixture.py"
+    runpy.run_path(str(script))["build"](tmp_path)
+    idx = tmp_path / "bm25.idx"
+    assert run_cli("index", "--corpus", tmp_path / "corpus.jsonl", "--out", idx) == 0
+    summaries = {}
+    for method, flags in (("igp", ("--tp", 0.05)), ("none", ())):
+        out = tmp_path / f"run-{method}"
+        assert run_cli(
+            "run", "--index", idx, "--dataset", tmp_path / "dataset.jsonl",
+            "--qrels", tmp_path / "qrels.tsv", "--stub", tmp_path / "stub.json",
+            "--topk", 4, "--max-tokens", 8, "--rerank", method, *flags,
+            "--topm", 5, "--out", out,
+        ) == 0
+        summaries[method] = read_summary_csv(out / "summary.csv")[0]
+    igp, none = summaries["igp"], summaries["none"]
+    assert float(igp["f1"]) > float(none["f1"])
+    assert float(igp["tk"]) < float(none["tk"])
 
 
 class TestSweepCommand:

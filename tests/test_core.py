@@ -1,6 +1,7 @@
 """Prompt rendering, domain-type invariants, and file loading."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,13 +10,13 @@ from igp.core import (
     CandidateSet,
     EvidenceBudget,
     Passage,
-    PromptBundle,
     Query,
     format_reference,
     load_corpus,
     load_dataset,
     render_answer_prompt,
     render_probe_prompt,
+    render_yesno_prompt,
 )
 
 Q = Query("q1", "Q?")
@@ -48,10 +49,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             EvidenceBudget(top_m=1, token_guard=0)
         assert EvidenceBudget(top_m=1).token_guard is None
-
-    def test_prompt_bundle_validates_slots(self):
-        with pytest.raises(ValueError):
-            PromptBundle(answer_template="no slots here")
 
 
 class TestAnswerPrompt:
@@ -103,8 +100,9 @@ class TestProbePrompt:
 
     def test_slot_like_text_is_not_reexpanded(self):
         tricky = Passage("p", "weird {question} braces")
-        prompt = render_probe_prompt(Q, tricky)
-        assert "weird {question} braces" in prompt
+        for render in (render_probe_prompt, render_yesno_prompt):
+            prompt = render(Q, tricky)
+            assert "weird {question} braces" in prompt
 
 
 class TestLoaders:
@@ -128,7 +126,25 @@ class TestLoaders:
         assert queries[1].gold_answers == ()
 
     def test_bad_json_reports_line(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        path.write_text('{"id": "a", "contents": "x"}\nnot json\n', encoding="utf-8")
-        with pytest.raises(ValueError, match=":2"):
-            list(load_corpus(path))
+        path = tmp_path / "data.jsonl"
+        passage = '{"id": "a", "contents": "x"}'
+        query = '{"id": "q1", "question": "Q?"}'
+        answers = '{"id": "q2", "question": "R?", "golden_answers": %s}'
+        cases = [
+            (load_corpus, passage, "not json", "invalid JSON"),
+            (load_corpus, passage, '["b", "y"]', "not a JSON object"),
+            (load_corpus, passage, '{"contents": "y"}', "'id'"),
+            (load_corpus, passage, '{"id": null, "contents": "y"}', "'id'"),
+            (load_corpus, passage, '{"id": "b"}', "'contents'"),
+            (load_corpus, passage, '{"id": "b", "contents": 3}', "'contents'"),
+            (load_corpus, passage, '{"id": "b", "contents": ""}', "'contents'"),
+            (load_dataset, query, '{"id": "q2"}', "'question'"),
+            (load_dataset, query, '{"id": "q2", "question": ""}', "'question'"),
+            (load_dataset, query, answers % '"Paris"', "'golden_answers'"),
+            (load_dataset, query, answers % '["Paris", 3]', "'golden_answers'"),
+            (load_dataset, query, answers % '["Paris", ""]', "'golden_answers'"),
+        ]
+        for load, good, bad, field in cases:
+            path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{field}"):
+                list(load(path))

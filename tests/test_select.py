@@ -176,11 +176,6 @@ class TestTruncate:
             RankedList("q", relabeled), budget
         )
 
-    def test_custom_token_counter(self):
-        ranked = RankedList("q", (self.entry("p0", 10),))
-        selected = truncate(ranked, EvidenceBudget(top_m=1), token_counter=len)
-        assert selected.total_tokens == len(ranked.entries[0].passage.text)
-
 
 class TestQlmRerank:
     def backend(self, mean_d1=-0.4, mean_d2=-1.1, mean_d3=-0.8):
