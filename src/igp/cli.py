@@ -52,35 +52,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(values, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    overrides = {
-        "index_path": args.index,
-        "dataset_path": args.dataset,
-        "out_dir": args.out,
-        "corpus_path": args.corpus,
-        "qrels_path": args.qrels,
-        "stub_path": args.stub,
-        "endpoint": args.endpoint,
-        "model": args.model,
-        "rerank": args.rerank,
-        "tp": args.tp,
-        "top_m": args.topm,
-        "token_guard": args.token_guard,
-        "top_n": args.topn,
-        "top_k": args.topk,
-        "max_tokens": args.max_tokens,
-        "answer_max_tokens": args.answer_max_tokens,
-        "parallelism": args.parallelism,
-        "labeled_only": args.labeled_only or None,
-        "generate": (not args.no_generate) if args.no_generate else None,
-        "failure_ceiling": args.failure_ceiling,
-    }
-    for key, value in overrides.items():
+    for f in fields(RunConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            values[key] = value
+            values[f.name] = value
     missing = [k for k in ("index_path", "dataset_path", "out_dir") if k not in values]
     if missing:
         raise ValueError(f"missing required config values: {missing}")
@@ -299,30 +277,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.set_defaults(func=cmd_index)
 
     def add_run_flags(p: argparse.ArgumentParser) -> None:
+        # Each flag's dest is its RunConfig field; an unset flag reads None,
+        # so a --config value stands.
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--index", help="index file path")
-        p.add_argument("--dataset", help="dataset JSONL path")
-        p.add_argument("--corpus", help="corpus JSONL path (for record replay)")
-        p.add_argument("--qrels", help="qrels TSV path")
-        p.add_argument("--stub", help="stub backend JSON table path")
+        p.add_argument("--index", dest="index_path", help="index file path")
+        p.add_argument("--dataset", dest="dataset_path", help="dataset JSONL path")
+        p.add_argument("--corpus", dest="corpus_path", help="corpus JSONL path (for record replay)")
+        p.add_argument("--qrels", dest="qrels_path", help="qrels TSV path")
+        p.add_argument("--stub", dest="stub_path", help="stub backend JSON table path")
         p.add_argument("--endpoint", help="OpenAI-compatible base URL (incl. /v1)")
         p.add_argument("--model", help="model name for the HTTP backend")
-        p.add_argument("--rerank", choices=RERANK_METHODS, default=None)
-        p.add_argument("--tp", type=float, default=None, help="pruning threshold")
-        p.add_argument("--topm", type=int, default=None, help="evidence budget M")
-        p.add_argument("--token-guard", dest="token_guard", type=int, default=None)
-        p.add_argument("--topn", type=int, default=None, help="retrieval candidates")
-        p.add_argument("--topk", type=int, default=None, help="probing Top-K width")
-        p.add_argument("--max-tokens", dest="max_tokens", type=int, default=None,
-                       help="probing rollout cap")
-        p.add_argument("--answer-max-tokens", dest="answer_max_tokens", type=int,
-                       default=None)
-        p.add_argument("--parallelism", type=int, default=None)
-        p.add_argument("--labeled-only", action="store_true", default=False)
-        p.add_argument("--no-generate", action="store_true", default=False)
-        p.add_argument("--failure-ceiling", dest="failure_ceiling", type=float,
-                       default=None)
-        p.add_argument("--out", help="run output directory")
+        p.add_argument("--rerank", choices=RERANK_METHODS)
+        p.add_argument("--tp", type=float, help="pruning threshold")
+        p.add_argument("--topm", dest="top_m", type=int, help="evidence budget M")
+        p.add_argument("--token-guard", dest="token_guard", type=int)
+        p.add_argument("--topn", dest="top_n", type=int, help="retrieval candidates")
+        p.add_argument("--topk", dest="top_k", type=int, help="probing Top-K width")
+        p.add_argument("--max-tokens", dest="max_tokens", type=int, help="probing rollout cap")
+        p.add_argument("--answer-max-tokens", dest="answer_max_tokens", type=int)
+        p.add_argument("--parallelism", type=int)
+        p.add_argument("--labeled-only", dest="labeled_only", action="store_const", const=True)
+        p.add_argument("--no-generate", dest="generate", action="store_const", const=False)
+        p.add_argument("--failure-ceiling", dest="failure_ceiling", type=float)
+        p.add_argument("--out", dest="out_dir", help="run output directory")
 
     p_run = sub.add_parser("run", help="End-to-end run over a dataset")
     add_run_flags(p_run)

@@ -165,6 +165,14 @@ def _only(results: list[T | Exception]) -> T:
     return result
 
 
+def _ended(steps: list[StepDistribution], eos_signal: Optional[str]) -> Rollout:
+    """The rollout of ``steps``: cut by the length cap when ``eos_signal`` is
+    None, else ended by generation at its last step, which is marked."""
+    if eos_signal is not None and not steps[-1].is_eos:
+        steps = [*steps[:-1], replace(steps[-1], is_eos=True)]
+    return Rollout(tuple(steps), "max_tokens" if eos_signal is None else "eos", eos_signal)
+
+
 class ProbeBackend:
     """Interface every probing backend implements. Backends hold no mutable
     per-call state and may be used from many threads concurrently."""
@@ -251,29 +259,14 @@ class StubBackend(ProbeBackend):
         if not raw_steps:
             raise MalformedResponseError("stub entry has no steps")
         steps: list[StepDistribution] = []
-        eos_signal: Optional[str] = None
-        for idx, raw in enumerate(raw_steps, 1):
+        for idx, raw in enumerate(raw_steps[: cfg.max_tokens], 1):
             entries = _sorted_entries(raw["top_logprobs"], cfg.top_k)
-            explicit_eos = bool(raw.get("eos", False))
-            steps.append(
-                StepDistribution(
-                    step_index=idx,
-                    entries=entries,
-                    chosen_token=entries[0][0],
-                    is_eos=explicit_eos,
-                )
-            )
-            if explicit_eos:
-                eos_signal = "step_flag"
-                break
-            if idx == cfg.max_tokens:
-                break
-        if eos_signal is None and len(steps) < cfg.max_tokens:
-            # Table exhausted before the cap: generation ended here.
-            eos_signal = "table_end"
-            steps[-1] = replace(steps[-1], is_eos=True)
-        terminated_by = "eos" if steps[-1].is_eos else "max_tokens"
-        return Rollout(tuple(steps), terminated_by, eos_signal)
+            eos = bool(raw.get("eos", False))
+            steps.append(StepDistribution(idx, entries, entries[0][0], is_eos=eos))
+            if eos:
+                return _ended(steps, "step_flag")
+        # A table that runs out before the cap ended generation there.
+        return _ended(steps, "table_end" if len(raw_steps) < cfg.max_tokens else None)
 
     def force_score(self, prompt: str, continuation: str, cfg: ProbeConfig) -> list[float]:
         if not continuation:
@@ -341,6 +334,8 @@ class HttpBackend(ProbeBackend):
         transport: Optional[Transport] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self._api_key = api_key
@@ -373,27 +368,21 @@ class HttpBackend(ProbeBackend):
     def _request(self, payload: dict) -> dict:
         url = f"{self.base_url}/completions"
         delay = self._backoff
-        attempt = 0
-        while True:
+        for attempt in range(self._max_retries + 1):
+            if attempt:
+                self._sleep(delay)
+                delay *= 2
             try:
                 status, body = self._transport(url, payload)
-            except TransportError:
-                if attempt >= self._max_retries:
-                    raise
-                self._sleep(delay)
-                delay *= 2
-                attempt += 1
+            except TransportError as exc:
+                error = exc
                 continue
-            if status in _RETRYABLE_STATUS:
-                if attempt >= self._max_retries:
-                    raise TransportError(f"server returned {status} after retries")
-                self._sleep(delay)
-                delay *= 2
-                attempt += 1
-                continue
-            if status != 200:
+            if status == 200:
+                return body
+            if status not in _RETRYABLE_STATUS:
                 raise ProbeError(f"endpoint returned {status}: {body}")
-            return body
+            error = TransportError(f"server returned {status} after retries")
+        raise error
 
     @staticmethod
     def _choice(body: dict) -> dict:
@@ -423,7 +412,8 @@ class HttpBackend(ProbeBackend):
         sent in one request whose ``prompt`` is the list and whose other
         payload ``fields`` every prompt shares.
 
-        A choice that fails to parse fails its prompt only. A batch the
+        A choice that fails to parse fails its prompt only, with a
+        ``MalformedResponseError`` when it has the wrong shape. A batch the
         endpoint refuses, or answers with a choice set that does not match
         the prompts, is re-sent one prompt per request, so each prompt gets
         the result or error it gets alone. Retries used up on the batch fail
@@ -431,10 +421,16 @@ class HttpBackend(ProbeBackend):
         empty one, goes as plain string payloads.
         """
 
+        def parsed(choice: dict, i: int) -> T:
+            try:
+                return parse(choice, i)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise MalformedResponseError(str(exc)) from exc
+
         def alone(i: int) -> T:
             if not wire[i]:
                 raise ValueError("prompt must be non-empty")
-            return parse(self._choice(self._request(self._payload(wire[i], **fields))), i)
+            return parsed(self._choice(self._request(self._payload(wire[i], **fields))), i)
 
         choices = None
         if len(wire) > 1 and all(wire):
@@ -448,7 +444,7 @@ class HttpBackend(ProbeBackend):
                 choices = self._choices(body, len(wire))
         if choices is None:
             return _each(alone, range(len(wire)))
-        return _each(lambda i: parse(choices[i], i), range(len(wire)))
+        return _each(lambda i: parsed(choices[i], i), range(len(wire)))
 
     def greedy_rollout(self, prompt: str, cfg: ProbeConfig) -> Rollout:
         return _only(self.greedy_rollouts([prompt], cfg))
@@ -484,23 +480,11 @@ class HttpBackend(ProbeBackend):
             raw = {str(t): float(lp) for t, lp in alts.items()}
             raw.setdefault(str(tok), float(tok_lp))
             entries = _sorted_entries(raw, cfg.top_k)
-            try:
-                steps.append(
-                    StepDistribution(
-                        step_index=idx,
-                        entries=entries,
-                        chosen_token=str(tok),
-                        is_eos=False,
-                    )
-                )
-            except ValueError as exc:
-                raise MalformedResponseError(str(exc)) from exc
+            steps.append(StepDistribution(idx, entries, str(tok)))
+        # Any finish reason but the length cap is the service's
+        # end-of-generation signal.
         finish = choice.get("finish_reason")
-        if finish == "length":
-            return Rollout(tuple(steps), "max_tokens", None)
-        # Any other finish reason is the service's end-of-generation signal.
-        steps[-1] = replace(steps[-1], is_eos=True)
-        return Rollout(tuple(steps), "eos", "finish_reason")
+        return _ended(steps, None if finish == "length" else "finish_reason")
 
     def force_score(self, prompt: str, continuation: str, cfg: ProbeConfig) -> list[float]:
         return _only(self.force_scores([prompt], continuation, cfg))
@@ -542,7 +526,13 @@ class HttpBackend(ProbeBackend):
         return scores
 
     def complete_text(self, prompt: str, max_tokens: int) -> str:
-        choice = self._choice(self._request(self._payload(prompt, max_tokens=max_tokens)))
+        """Sent, retried and parsed as a one-prompt probe is; see ``_batch``."""
+        return _only(
+            self._batch([prompt], lambda choice, _: self._text(choice), max_tokens=max_tokens)
+        )
+
+    @staticmethod
+    def _text(choice: dict) -> str:
         text = choice.get("text")
         if text is None:
             raise MalformedResponseError("completion response has no text")

@@ -168,8 +168,6 @@ def qlm_rerank(
     """Query-likelihood baseline: score each candidate by the mean per-token
     logprob of the question forced after the document-conditioned probing
     prompt. No pruning; every scored candidate is admitted."""
-    if not candidates.candidates:
-        return RankedList(query_id=candidates.query_id, entries=())
     results = backend.force_scores(
         [render_probe_prompt(query, p) for p, _ in candidates.candidates],
         query.question,
@@ -203,8 +201,6 @@ def yesno_rerank(
     Each candidate is a one-token rollout; its first step is cut to
     ``cfg.top_k`` entries, so a rollout probed wider scores as a fresh
     narrow probe does."""
-    if not candidates.candidates:
-        return RankedList(query_id=candidates.query_id, entries=())
     rollouts = backend.greedy_rollouts(
         [render_yesno_prompt(query, p) for p, _ in candidates.candidates],
         replace(cfg, max_tokens=1),

@@ -4,12 +4,13 @@ and the report tables (Pareto dominance, NDCG-F1 correlation)."""
 import csv
 import json
 import runpy
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from igp.cli import correlation_rows, main, pareto_rows
-from igp.pipeline import load_records, read_summary_csv
+from igp.cli import _config_from_args, build_parser, correlation_rows, main, pareto_rows
+from igp.pipeline import RunConfig, load_records, read_summary_csv
 from igp.probe import StubBackend
 
 
@@ -29,6 +30,66 @@ def world_args(miniworld):
         "--max-tokens", miniworld.probe_cfg.max_tokens,
         "--topn", 5,
     ]
+
+
+# Every RunConfig field: the run flag that sets it, and a value other than
+# its default. The two boolean flags take no value.
+RUN_FLAGS = {
+    "index_path": ("--index", "a.idx"),
+    "dataset_path": ("--dataset", "d.jsonl"),
+    "out_dir": ("--out", "out"),
+    "corpus_path": ("--corpus", "c.jsonl"),
+    "qrels_path": ("--qrels", "q.tsv"),
+    "stub_path": ("--stub", "s.json"),
+    "endpoint": ("--endpoint", "http://localhost:8000/v1"),
+    "model": ("--model", "m"),
+    "rerank": ("--rerank", "qlm"),
+    "tp": ("--tp", 0.25),
+    "top_m": ("--topm", 3),
+    "token_guard": ("--token-guard", 40),
+    "top_n": ("--topn", 7),
+    "top_k": ("--topk", 16),
+    "max_tokens": ("--max-tokens", 9),
+    "answer_max_tokens": ("--answer-max-tokens", 11),
+    "parallelism": ("--parallelism", 2),
+    "labeled_only": ("--labeled-only", True),
+    "generate": ("--no-generate", False),
+    "failure_ceiling": ("--failure-ceiling", 0.5),
+}
+
+
+class TestRunFlags:
+    COMMANDS = [("run",), ("sweep", "--param", "tp", "--values", "0")]
+    # Exactly one backend per config: the stub, or an endpoint with a model.
+    BACKENDS = [("stub_path",), ("endpoint", "model")]
+
+    def settings(self, backend):
+        others = {f for b in self.BACKENDS if b != backend for f in b}
+        return {name: value for name, (_, value) in RUN_FLAGS.items() if name not in others}
+
+    def test_every_config_field_has_a_flag(self):
+        assert set(RUN_FLAGS) == {f.name for f in fields(RunConfig)}
+        assert all(RUN_FLAGS[f.name][1] != f.default for f in fields(RunConfig))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_flag_lands_in_its_field(self, command, backend):
+        settings = self.settings(backend)
+        argv = list(command)
+        for name, value in settings.items():
+            flag = RUN_FLAGS[name][0]
+            argv += [flag] if isinstance(value, bool) else [flag, str(value)]
+        config = _config_from_args(build_parser().parse_args(argv))
+        assert config == RunConfig(**settings)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unset_flags_leave_config_values_standing(self, command, backend, tmp_path):
+        settings = self.settings(backend)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(settings), encoding="utf-8")
+        args = build_parser().parse_args([*command, "--config", str(path)])
+        assert _config_from_args(args) == RunConfig(**settings)
 
 
 class TestIndexCommand:

@@ -90,6 +90,27 @@ class TestStubRollout:
         assert rollout.terminated_by == "eos"
         assert rollout.eos_signal == "table_end"
 
+    @pytest.mark.parametrize(
+        "eos_at, terminated_by, eos_signal, length",
+        [
+            (None, "max_tokens", None, 3),  # table exactly as long as the cap
+            (3, "eos", "step_flag", 3),  # eos flag on the cap step
+            (4, "max_tokens", None, 3),  # eos flag past the cap is never read
+        ],
+    )
+    def test_ending_at_the_cap(self, eos_at, terminated_by, eos_signal, length):
+        steps = steps_from_profile("u" * (eos_at or 3))
+        if eos_at:
+            steps[-1]["eos"] = True
+        backend = stub({"p": {"steps": steps}})
+        rollout = backend.greedy_rollout("p", ProbeConfig(top_k=4, max_tokens=3))
+        assert rollout.terminated_by == terminated_by
+        assert rollout.eos_signal == eos_signal
+        assert rollout.effective_length == length
+        assert [s.is_eos for s in rollout.steps] == [False] * (length - 1) + [
+            terminated_by == "eos"
+        ]
+
     def test_steps_match_table(self):
         table = {
             "p": {
@@ -283,6 +304,22 @@ class TestHttpBackend:
         backend, _ = http_backend([TransportError("boom")] * 3, max_retries=2)
         with pytest.raises(TransportError):
             backend.greedy_rollout("p", CFG)
+
+    @pytest.mark.parametrize("failure", [TransportError("boom"), (503, {})])
+    def test_exhausted_retries_back_off_and_stop(self, failure):
+        sleeps = []
+        transport = FakeTransport([failure] * 3)
+        backend = HttpBackend(
+            "http://example/v1", "m", max_retries=2, transport=transport, sleep=sleeps.append
+        )
+        with pytest.raises(TransportError):
+            backend.greedy_rollout("p", CFG)
+        assert sleeps == [0.5, 1.0]
+        assert len(transport.payloads) == 3
+
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(ValueError):
+            HttpBackend("http://example/v1", "m", max_retries=-1)
 
     def test_client_error_is_fatal(self):
         backend, transport = http_backend([(404, {"error": "no model"})])
@@ -483,6 +520,74 @@ class TestHttpBatch:
         assert len(results) == 3
         assert all(isinstance(r, TransportError) for r in results)
         assert [payload["prompt"] for _, payload in transport.payloads] == [["p0 c", "p1 c", "p2 c"]] * 3
+
+
+def rollout_choice(index=0, **logprobs):
+    good = choice(index, ["a", "b"])
+    return dict(good, logprobs=dict(good["logprobs"], **logprobs))
+
+
+def echo(index=0, token_logprobs=(None, -0.5)):
+    return echo_choice(index, [0, 2], list(token_logprobs))
+
+
+# One-prompt calls, their batch forms, and a well-formed choice for each;
+# "force" scores " c" after the prompt.
+CALLS = {
+    "rollout": lambda backend, prompt: backend.greedy_rollout(prompt, CFG),
+    "force": lambda backend, prompt: backend.force_score(prompt, " c", CFG),
+    "text": lambda backend, prompt: backend.complete_text(prompt, 8),
+}
+BATCH_CALLS = {
+    "rollout": lambda backend, prompts: backend.greedy_rollouts(prompts, CFG),
+    "force": lambda backend, prompts: backend.force_scores(prompts, " c", CFG),
+}
+GOOD = {"rollout": rollout_choice, "force": echo}
+
+# A choice of the wrong shape, and the call that parses it.
+MALFORMED = {
+    "non-object choice, rollout": ("rollout", "oops"),
+    "non-object choice, force": ("force", "oops"),
+    "non-object choice, text": ("text", ["oops"]),
+    "logprobs list": ("rollout", dict(choice(0, ["a"]), logprobs=[-0.1])),
+    "top_logprobs step list": ("rollout", rollout_choice(top_logprobs=[{"a": -0.1}, ["b"]])),
+    "string token_logprobs entry": ("rollout", rollout_choice(token_logprobs=[-0.1, "high"])),
+    "string echo logprob": ("force", echo(token_logprobs=[None, "low"])),
+}
+# The ones a batch can match to their prompt by index.
+INDEXED = {name: case for name, case in MALFORMED.items() if isinstance(case[1], dict)}
+
+
+class TestMalformedChoice:
+    @pytest.mark.parametrize("call, malformed", MALFORMED.values(), ids=list(MALFORMED))
+    def test_fails_as_malformed_without_retry(self, call, malformed):
+        backend, transport = http_backend([(200, {"choices": [malformed]})])
+        with pytest.raises(MalformedResponseError) as raised:
+            CALLS[call](backend, "p")
+        assert type(raised.value.__cause__) in (AttributeError, TypeError, ValueError)
+        assert str(raised.value) == str(raised.value.__cause__)
+        assert len(transport.payloads) == 1
+
+    @pytest.mark.parametrize("call, malformed", INDEXED.values(), ids=list(INDEXED))
+    def test_fails_only_its_own_slot_in_a_batch(self, call, malformed):
+        body = {"choices": [GOOD[call](0), dict(malformed, index=1)]}
+        backend, transport = http_backend([(200, body)])
+        first, second = BATCH_CALLS[call](backend, ["p0", "p1"])
+        assert not isinstance(first, Exception)
+        assert isinstance(second, MalformedResponseError)
+        assert len(transport.payloads) == 1
+
+    def test_non_object_choice_fails_only_its_own_slot(self):
+        # A choice without an index cannot be matched to its prompt, so
+        # the batch is re-sent one prompt per request.
+        backend, transport = http_backend(
+            [(200, {"choices": [choice(0, ["a"]), "oops"]})]
+            + [(200, {"choices": [c]}) for c in (choice(0, ["a"]), "oops")]
+        )
+        first, second = backend.greedy_rollouts(["p0", "p1"], CFG)
+        assert first.chosen_tokens == ("a",)
+        assert isinstance(second, MalformedResponseError)
+        assert len(transport.payloads) == 3
 
 
 class TestRolloutInvariants:

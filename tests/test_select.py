@@ -250,6 +250,10 @@ class TestYesNoRerank:
         assert ranked.entries[-1].passage.id == "d3"
         assert ranked.entries[-1].score == 0.0
 
+    def test_empty_candidates(self):
+        ranked = yesno_rerank(QUERY, CandidateSet("q1", ()), StubBackend({"prompts": {}}), CFG)
+        assert ranked.entries == ()
+
     def test_all_zero_scores_preserve_retriever_order(self):
         backend = self.backend(
             {
