@@ -27,7 +27,7 @@ from .pipeline import (
     write_summary_csv,
 )
 from .probe import Prober
-from .retrieve import Analyzer, build_index, save_index
+from .retrieve import Analyzer, build_index, load_index, save_index
 
 _SWEEP_FIELD = {"tp": "tp", "topm": "top_m", "topk": "top_k", "mt": "max_tokens"}
 
@@ -143,17 +143,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The no-evidence rollout is probed once per query across a whole tp or
     # topm grid. When the Top-K width is swept, everything is probed once at
     # the widest K. Every point gets the same rollout object, which keeps its
-    # NU per width, so each rollout's NU is computed once per width.
+    # NU per width, so each rollout's NU is computed once per width. No
+    # sweep axis moves the index, so it is loaded once too.
     probe_k = None
     for param, grid in axes:
         if param == "topk":
             probe_k = max(grid)
     prober = Prober(make_backend(base), probe_k=probe_k)
+    index = load_index(base.index_path)
 
     rows = []
     exit_code = 0
     for config in configs:
-        result = run_dataset(config, backend=prober)
+        result = run_dataset(config, backend=prober, index=index)
         if result.failure_rate > config.failure_ceiling:
             exit_code = 1
         row = dict(result.summary)

@@ -153,7 +153,9 @@ class RunRecord:
     error: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # Fields hold plain JSON values that nothing mutates, so a shallow
+        # copy serves; ``asdict`` would deep-copy every nested list and dict.
+        return dict(vars(self))
 
 
 def _score_dicts(ranked: RankedList) -> list[dict]:
@@ -284,15 +286,22 @@ class RunResult:
         return self.failed / len(self.records) if self.records else 0.0
 
 
-def run_dataset(config: RunConfig, backend: Optional[ProbeBackend] = None) -> RunResult:
+def run_dataset(
+    config: RunConfig,
+    backend: Optional[ProbeBackend] = None,
+    index: Optional[InvertedIndex] = None,
+) -> RunResult:
     """Run the whole dataset, persist records and the summary row, and return
     both. Per-query failures are recorded and skipped; the caller decides
     whether the failure rate breaches the configured ceiling.
 
     Each query probes through its own ``Prober``: a view of ``backend`` when
     that is a ``Prober`` (a sweep's, whose store serves every point), else a
-    fresh one whose store dies with the query."""
-    index = load_index(config.index_path)
+    fresh one whose store dies with the query. ``index`` is loaded from
+    ``config.index_path`` unless given (a sweep loads it once for every
+    point); queries only read it."""
+    if index is None:
+        index = load_index(config.index_path)
     queries = load_dataset(config.dataset_path)
     qrels = load_qrels(config.qrels_path) if config.qrels_path else None
     if config.labeled_only:

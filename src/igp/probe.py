@@ -19,6 +19,8 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from itertools import pairwise
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
@@ -86,16 +88,19 @@ class StepDistribution:
             raise ValueError("step_index is 1-based")
         if not self.entries:
             raise ValueError("step has no entries")
-        lps = [lp for _, lp in self.entries]
-        if any(math.isnan(lp) or lp == math.inf for lp in lps):
+        lps = list(map(itemgetter(1), self.entries))
+        # NaN is the one value not equal to itself.
+        if math.inf in lps or not all(map(eq, lps, lps)):
             raise ValueError("logprobs must not be NaN or +inf")
-        keyed = [(-lp, tok) for tok, lp in self.entries]
-        if keyed != sorted(keyed):
-            raise ValueError("entries must be sorted by logprob desc, token asc")
+        for (t1, l1), (t2, l2) in pairwise(self.entries):
+            if l1 < l2 or (l1 == l2 and t1 > t2):
+                raise ValueError("entries must be sorted by logprob desc, token asc")
+        # The last entry of a duplicated token is the one looked up.
         chosen_lp = dict(self.entries).get(self.chosen_token)
         if chosen_lp is None:
             raise ValueError(f"chosen token {self.chosen_token!r} not among entries")
-        if chosen_lp < max(lps) - _GREEDY_TOLERANCE:
+        # Sorted, so the first logprob is the largest.
+        if chosen_lp < lps[0] - _GREEDY_TOLERANCE:
             raise ValueError("chosen token is not a maximal-logprob entry")
 
 
@@ -139,7 +144,11 @@ class Rollout:
 
 
 def _sorted_entries(raw: dict[str, float], top_k: int) -> tuple[tuple[str, float], ...]:
-    ordered = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
+    """The ``top_k`` entries of ``raw``, by logprob desc, token asc."""
+    # Tokens are unique keys, so the first sort never compares logprobs; the
+    # second is stable, so equal logprobs stay in token order.
+    ordered = sorted(raw.items())
+    ordered.sort(key=itemgetter(1), reverse=True)
     return tuple(ordered[:top_k])
 
 
@@ -508,6 +517,8 @@ class HttpBackend(ProbeBackend):
     @staticmethod
     def _forced(choice: dict, cut: int) -> list[float]:
         logprobs = choice.get("logprobs")
+        if logprobs and not isinstance(logprobs, dict):
+            raise MalformedResponseError(f"echo logprobs is not an object: {logprobs!r}")
         if not logprobs or "text_offset" not in logprobs:
             raise UnsupportedCapabilityError(
                 "endpoint does not support echo scoring of a supplied continuation"

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import igp.cli
+import igp.pipeline
 from igp.cli import _config_from_args, build_parser, correlation_rows, main, pareto_rows
 from igp.pipeline import RunConfig, load_records, read_summary_csv
 from igp.probe import StubBackend
@@ -349,6 +351,29 @@ class TestSweepCommand:
             "--param", "tp", "--values", "0.05,0.5", "--out", tmp_path / "once",
         ) == 0
         assert len(paths) == 1
+
+    def test_index_loaded_once_per_sweep(self, miniworld, world_args, tmp_path, monkeypatch):
+        load = igp.cli.load_index
+        paths = []
+
+        def counting_load(path):
+            paths.append(path)
+            return load(path)
+
+        def no_load(path):
+            raise AssertionError("a sweep point loaded the index itself")
+
+        monkeypatch.setattr(igp.cli, "load_index", counting_load)
+        monkeypatch.setattr(igp.pipeline, "load_index", no_load)
+        assert run_cli(
+            "sweep", *world_args, "--rerank", "igp", "--topm", "1",
+            "--param", "tp", "--values", "0.05,0.5",
+            "--param2", "topk", "--values2", "2,4", "--out", tmp_path / "once",
+        ) == 0
+        assert paths == [str(miniworld.index_path)]
+        points = sorted((tmp_path / "once").glob("point_*"))
+        assert len(points) == 4
+        assert all(not r["error"] for p in points for r in load_records(p / "records.jsonl"))
 
     def test_two_axis_grid_is_cross_product(self, world_args, tmp_path):
         out = tmp_path / "kmtsweep"

@@ -32,6 +32,7 @@ from igp.probe import (
     StubBackend,
     UnknownPromptError,
 )
+from igp.retrieve import load_index
 from igp.select import whitespace_token_count, yesno_rerank
 from igp.uncertainty import sequence_nu
 
@@ -256,6 +257,18 @@ class TestRunDataset:
         for ra, rb in zip(rec_a, rec_b):
             ra.pop("timings")
             rb.pop("timings")
+        assert rec_a == rec_b
+
+    def test_given_index_writes_the_records_of_a_loaded_one(self, miniworld, tmp_path):
+        loaded = run_dataset(world_config(miniworld, tmp_path / "a"))
+        given = run_dataset(
+            world_config(miniworld, tmp_path / "b"), index=load_index(miniworld.index_path)
+        )
+        assert loaded.summary == given.summary
+        rec_a = load_records(tmp_path / "a" / "records.jsonl")
+        rec_b = load_records(tmp_path / "b" / "records.jsonl")
+        for record in rec_a + rec_b:
+            record.pop("timings")
         assert rec_a == rec_b
 
     def test_unreachable_threshold_empties_every_prompt(self, miniworld, tmp_path):

@@ -2,6 +2,8 @@
 forced-continuation scoring, retries, and error classification."""
 
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 from helpers import steps_from_profile
 from igp.core import CandidateSet, Passage, Query
 from igp.probe import (
+    _GREEDY_TOLERANCE,
     HttpBackend,
     MalformedResponseError,
     MissingLogprobsError,
@@ -20,6 +23,7 @@ from igp.probe import (
     TransportError,
     UnknownPromptError,
     UnsupportedCapabilityError,
+    _sorted_entries,
 )
 from igp.select import BaselineUnavailableError, qlm_rerank
 
@@ -67,6 +71,91 @@ class TestStepDistribution:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             StepDistribution(1, (("a", float("nan")),), "a")
+
+
+def reference_step_check(entries, chosen):
+    """StepDistribution's entry checks in their sort-and-compare form, the
+    reference for the one-pass walk."""
+    lps = [lp for _, lp in entries]
+    if any(math.isnan(lp) or lp == math.inf for lp in lps):
+        raise ValueError("logprobs must not be NaN or +inf")
+    keyed = [(-lp, tok) for tok, lp in entries]
+    if keyed != sorted(keyed):
+        raise ValueError("entries must be sorted by logprob desc, token asc")
+    chosen_lp = dict(entries).get(chosen)
+    if chosen_lp is None:
+        raise ValueError(f"chosen token {chosen!r} not among entries")
+    if chosen_lp < max(lps) - _GREEDY_TOLERANCE:
+        raise ValueError("chosen token is not a maximal-logprob entry")
+
+
+def reference_sorted_entries(raw, k):
+    return tuple(sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))[:k])
+
+
+# Few values, so ties are common; signed zeros, the infinities, two
+# neighbouring floats, and logprobs just within and just outside the greedy
+# tolerance of 0.
+TOLERANCE_EDGE = (-_GREEDY_TOLERANCE, -_GREEDY_TOLERANCE * 1.5)
+NEIGHBOURS = (-0.5, math.nextafter(-0.5, -math.inf))
+STEP_LOGPROBS = (0.0, -0.0, *TOLERANCE_EDGE, *NEIGHBOURS, -1.0, -math.inf, math.inf)
+STEP_TOKENS = ("a", "b", "c", "d")
+
+
+def outcome(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestStepBuildMatchesReference:
+    def test_step_checks_match_the_sort_and_compare_form(self):
+        rng = random.Random(1301)
+        seen = set()
+        for _ in range(20000):
+            entries = [
+                (rng.choice(STEP_TOKENS), rng.choice(STEP_LOGPROBS))
+                for _ in range(rng.randint(1, 5))
+            ]
+            if rng.random() < 0.2:
+                entries[rng.randrange(len(entries))] = (rng.choice(STEP_TOKENS), math.nan)
+            if rng.random() < 0.7:
+                entries.sort(key=lambda kv: (-kv[1], kv[0]))
+            chosen = rng.choice([*STEP_TOKENS, "zz"])
+            expected = outcome(lambda: reference_step_check(entries, chosen))
+            assert outcome(lambda: StepDistribution(1, tuple(entries), chosen)) == expected
+            seen.add(expected)
+        # Some steps passed, and each check rejected some.
+        assert {
+            None,
+            "logprobs must not be NaN or +inf",
+            "entries must be sorted by logprob desc, token asc",
+            "chosen token 'zz' not among entries",
+            "chosen token is not a maximal-logprob entry",
+        } <= seen
+
+    def test_sorted_entries_match_the_key_sort(self):
+        rng = random.Random(1302)
+        finite = [lp for lp in STEP_LOGPROBS if lp != math.inf]
+        for _ in range(5000):
+            tokens = rng.sample("abcdefgh", rng.randint(1, 8))
+            raw = {tok: rng.choice(finite) for tok in tokens}
+            k = rng.randint(1, 9)
+            assert _sorted_entries(raw, k) == reference_sorted_entries(raw, k)
+
+    def test_nan_in_the_kept_entries_fails_a_stub_rollout(self):
+        backend = stub({"p": {"steps": [{"top_logprobs": {"a": -0.1, "b": math.nan}}]}})
+        with pytest.raises(ValueError, match="NaN"):
+            backend.greedy_rollout("p", CFG)
+
+    def test_nan_in_the_kept_entries_fails_an_http_rollout(self):
+        body = completion_body(["a"], [-0.1], [{"a": -0.1, "b": math.nan}])
+        backend, transport = http_backend([(200, body)])
+        with pytest.raises(MalformedResponseError, match="NaN"):
+            backend.greedy_rollout("p", CFG)
+        assert len(transport.payloads) == 1
 
 
 class TestStubRollout:
@@ -353,6 +442,22 @@ class TestHttpBackend:
         with pytest.raises(UnsupportedCapabilityError):
             backend.force_score("p", "cont", CFG)
 
+    @pytest.mark.parametrize("logprobs", [None, {}, []])
+    def test_force_score_without_echo_payload_is_unsupported(self, logprobs):
+        body = {"choices": [{"finish_reason": "stop", "logprobs": logprobs}]}
+        backend, transport = http_backend([(200, body)])
+        with pytest.raises(UnsupportedCapabilityError):
+            backend.force_score("p", "cont", CFG)
+        assert len(transport.payloads) == 1
+
+    @pytest.mark.parametrize("logprobs", [[1, 2], ["text_offset"], "abc", 5])
+    def test_force_score_echo_payload_of_the_wrong_shape_is_malformed(self, logprobs):
+        body = {"choices": [{"finish_reason": "stop", "logprobs": logprobs}]}
+        backend, transport = http_backend([(200, body)])
+        with pytest.raises(MalformedResponseError):
+            backend.force_score("p", "cont", CFG)
+        assert len(transport.payloads) == 1
+
     def test_complete_text(self):
         backend, transport = http_backend(
             [(200, {"choices": [{"text": " Paris\n"}]})]
@@ -500,6 +605,21 @@ class TestHttpBatch:
         assert str(raised.value) == f"query-likelihood baseline unavailable: {alone.value}"
         assert type(raised.value.__cause__) is UnsupportedCapabilityError
         assert str(raised.value.__cause__) == str(alone.value)
+
+    def test_qlm_over_a_wrong_shaped_echo_rejects_that_candidate_only(self):
+        query = Query("q", "what is it")
+        passages = [Passage(f"d{i}", f"passage {i}") for i in range(3)]
+        candidates = CandidateSet("q", tuple((p, 3.0 - i) for i, p in enumerate(passages)))
+        wrong = {"index": 1, "finish_reason": "stop", "logprobs": [1, 2]}
+        body = {"choices": [echo_choice(0, [0, 999], [None, -0.5]), wrong, echo_choice(2, [0, 999], [None, -0.7])]}
+        backend, transport = http_backend([(200, body)])
+        ranked = qlm_rerank(query, candidates, backend, CFG)
+        by_id = {entry.passage.id: entry for entry in ranked.entries}
+        assert by_id["d1"].error.startswith("MalformedResponseError: ")
+        assert not by_id["d1"].admitted
+        assert (by_id["d0"].score, by_id["d2"].score) == (-0.5, -0.7)
+        assert by_id["d0"].error is None and by_id["d2"].error is None
+        assert len(transport.payloads) == 1
 
     def test_force_scores_refused_batch_resent_one_prompt_per_request(self):
         refusal = (404, {"error": "no response for p1"})
