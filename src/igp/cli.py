@@ -9,7 +9,6 @@ environment variable, never from a file or flag.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields, replace
@@ -21,9 +20,11 @@ from .evaluate import normalized_token_efficiency, spearman
 from .pipeline import (
     RERANK_METHODS,
     RunConfig,
+    RunResult,
     make_backend,
     read_summary_csv,
     run_dataset,
+    write_csv,
     write_summary_csv,
 )
 from .probe import Prober
@@ -78,24 +79,27 @@ def _check_inputs(config: RunConfig) -> None:
             raise FileNotFoundError(f"{name} file not found: {p}")
 
 
-def _print_summary(summary: dict) -> None:
-    parts = [f"{k}={summary[k]}" for k in ("method", "topm", "tp", "f1", "tk", "ndcg", "n")]
+def _finish(result: RunResult, config: RunConfig) -> int:
+    """Print the run's summary line, and a warning naming the run directory
+    when any query failed; the exit code is 1 when the failure rate is
+    above the ceiling."""
+    parts = [f"{k}={result.summary[k]}" for k in ("method", "topm", "tp", "f1", "tk", "ndcg", "n")]
     print("summary: " + " ".join(parts))
+    if result.failed:
+        print(
+            f"warning: {config.out_dir}: {result.failed} queries failed "
+            f"(rate {result.failure_rate:.2%}, ceiling {config.failure_ceiling:.2%})",
+            file=sys.stderr,
+        )
+    return 1 if result.failure_rate > config.failure_ceiling else 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _check_inputs(config)
-    result = run_dataset(config)
-    _print_summary(result.summary)
+    exit_code = _finish(run_dataset(config), config)
     print(f"records -> {Path(config.out_dir) / 'records.jsonl'}")
-    if result.failed:
-        print(
-            f"warning: {result.failed} queries failed "
-            f"(rate {result.failure_rate:.2%}, ceiling {config.failure_ceiling:.2%})",
-            file=sys.stderr,
-        )
-    return 1 if result.failure_rate > config.failure_ceiling else 0
+    return exit_code
 
 
 def _parse_grid(param: str, raw: str) -> list:
@@ -124,6 +128,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     _check_inputs(base)
     axes = [(args.param, _parse_grid(args.param, args.values))]
+    if args.values2 is not None and not args.param2:
+        raise ValueError("--values2 requires --param2")
     if args.param2:
         if not args.values2:
             raise ValueError("--param2 requires --values2")
@@ -145,24 +151,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # the widest K. Every point gets the same rollout object, which keeps its
     # NU per width, so each rollout's NU is computed once per width. No
     # sweep axis moves the index, so it is loaded once too.
-    probe_k = None
-    for param, grid in axes:
-        if param == "topk":
-            probe_k = max(grid)
-    prober = Prober(make_backend(base), probe_k=probe_k)
+    prober = Prober(make_backend(base), probe_k=max(c.top_k for c in configs))
     index = load_index(base.index_path)
 
     rows = []
     exit_code = 0
     for config in configs:
         result = run_dataset(config, backend=prober, index=index)
-        if result.failure_rate > config.failure_ceiling:
-            exit_code = 1
-        row = dict(result.summary)
-        row["k"] = config.top_k
-        row["mt"] = config.max_tokens
-        rows.append(row)
-        _print_summary(result.summary)
+        exit_code |= _finish(result, config)
+        rows.append(dict(result.summary, k=config.top_k, mt=config.max_tokens))
     write_summary_csv(sweep_dir / "sweep.csv", rows, extra_columns=("k", "mt"))
     print(f"sweep table -> {sweep_dir / 'sweep.csv'}")
     return exit_code
@@ -178,32 +175,21 @@ def pareto_rows(rows: list[dict]) -> list[dict]:
     """Attach an NTE column (relative to the retriever-only row at the same
     budget, when present) and flag Pareto-dominated operating points."""
     out = [dict(r) for r in rows]
-    baselines = {
-        r["topm"]: (_as_float(r["f1"]), _as_float(r["tk"]))
-        for r in out
-        if r["method"] == "none"
-    }
-    for row in out:
-        f1, tk = _as_float(row["f1"]), _as_float(row["tk"])
+    points = [(_as_float(r["f1"]), _as_float(r["tk"])) for r in out]
+    baselines = {r["topm"]: p for r, p in zip(out, points) if r["method"] == "none"}
+    known = [p for p in points if None not in p]
+    for row, (f1, tk) in zip(out, points):
         base = baselines.get(row["topm"])
         if not row.get("nte") and base and None not in (f1, tk, *base):
             try:
                 row["nte"] = normalized_token_efficiency(f1, tk, *base)
             except ValueError:
                 pass
-    for row in out:
-        f1, tk = _as_float(row["f1"]), _as_float(row["tk"])
         if f1 is None or tk is None:
             row["dominated"] = ""
             continue
         dominated = any(
-            other is not row
-            and _as_float(other["f1"]) is not None
-            and _as_float(other["tk"]) is not None
-            and _as_float(other["f1"]) >= f1
-            and _as_float(other["tk"]) <= tk
-            and (_as_float(other["f1"]) > f1 or _as_float(other["tk"]) < tk)
-            for other in out
+            of1 >= f1 and otk <= tk and (of1 > f1 or otk < tk) for of1, otk in known
         )
         row["dominated"] = str(dominated).lower()
     return out
@@ -250,11 +236,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
 
     correlations = correlation_rows(rows)
-    with open(out_dir / "correlation.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["topm", "spearman_ndcg_f1", "n_methods"])
-        writer.writeheader()
-        for row in correlations:
-            writer.writerow(row)
+    columns = ["topm", "spearman_ndcg_f1", "n_methods"]
+    write_csv(out_dir / "correlation.csv", columns, correlations)
     for row in correlations:
         print(
             f"correlation: topm={row['topm']} "

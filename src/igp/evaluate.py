@@ -15,19 +15,12 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
-_ARTICLES = frozenset({"a", "an", "the"})
 
 
-def normalize_answer(text: str, remove_articles: bool = False) -> str:
-    """Lowercase, strip ASCII punctuation, collapse whitespace runs.
-
-    Article removal ("a"/"an"/"the" as standalone tokens) is opt-in; the
-    default reproduces exactly the stated normalization rules. Idempotent.
-    """
-    tokens = text.lower().translate(_PUNCT_TABLE).split()
-    if remove_articles:
-        tokens = [t for t in tokens if t not in _ARTICLES]
-    return " ".join(tokens)
+def normalize_answer(text: str) -> str:
+    """Lowercase, strip ASCII punctuation, collapse whitespace runs; articles
+    stay. Idempotent."""
+    return " ".join(text.lower().translate(_PUNCT_TABLE).split())
 
 
 def token_f1(prediction: str, reference: str) -> tuple[float, float, float]:

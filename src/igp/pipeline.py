@@ -359,13 +359,17 @@ def run_dataset(
     return RunResult(records=records, summary=summary, failed=failed)
 
 
-def write_summary_csv(path: str | Path, rows: list[dict], extra_columns: tuple = ()) -> None:
-    columns = list(SUMMARY_COLUMNS) + [c for c in extra_columns if c not in SUMMARY_COLUMNS]
+def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` under a ``columns`` header; keys outside it are left out."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def write_summary_csv(path: str | Path, rows: list[dict], extra_columns: tuple = ()) -> None:
+    columns = list(SUMMARY_COLUMNS) + [c for c in extra_columns if c not in SUMMARY_COLUMNS]
+    write_csv(path, columns, rows)
 
 
 def read_summary_csv(path: str | Path) -> list[dict]:

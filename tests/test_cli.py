@@ -12,6 +12,7 @@ import pytest
 import igp.cli
 import igp.pipeline
 from igp.cli import _config_from_args, build_parser, correlation_rows, main, pareto_rows
+from igp.core import Query, load_dataset, render_answer_prompt, render_probe_prompt
 from igp.pipeline import RunConfig, load_records, read_summary_csv
 from igp.probe import StubBackend
 
@@ -243,6 +244,54 @@ class TestRunCommand:
         )
 
 
+@pytest.fixture()
+def broken_stub_args(miniworld, world_args, tmp_path):
+    """``world_args`` over a stub that lacks the first query's no-evidence
+    probe and the default entry: with generation off, that query fails and
+    the rest complete."""
+    table = json.loads(miniworld.stub_path.read_text(encoding="utf-8"))
+    victim = load_dataset(miniworld.dataset_path)[0]
+    table["prompts"].pop(render_probe_prompt(victim, None))
+    table.pop("default")
+    broken = tmp_path / "broken-stub.json"
+    broken.write_text(json.dumps(table), encoding="utf-8")
+    args = list(world_args)
+    args[args.index("--stub") + 1] = broken
+    return [*args, "--no-generate"]
+
+
+@pytest.fixture(scope="module")
+def demo_world(tmp_path_factory):
+    """README's demo world, indexed."""
+    root = tmp_path_factory.mktemp("demo")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_fixture.py"
+    runpy.run_path(str(script))["build"](root)
+    assert run_cli("index", "--corpus", root / "corpus.jsonl", "--out", root / "bm25.idx") == 0
+    return root
+
+
+@pytest.mark.parametrize("method", ["igp", "none"])
+def test_query_that_retrieves_nothing(demo_world, tmp_path, method):
+    # No query term is in the corpus: nothing to rerank, an empty document
+    # block, and the generation call is the query's only call.
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(
+        json.dumps({"id": "qx", "question": "xylophone quasar"}) + "\n", encoding="utf-8"
+    )
+    out = tmp_path / "run"
+    assert run_cli(
+        "run", "--index", demo_world / "bm25.idx", "--dataset", dataset,
+        "--stub", demo_world / "stub.json", "--topk", 4, "--max-tokens", 8,
+        "--rerank", method, "--out", out,
+    ) == 0
+    (record,) = load_records(out / "records.jsonl")
+    assert record["candidates"] == record["scores"] == record["admitted_ids"] == []
+    assert record["final_prompt"] == render_answer_prompt(Query("qx", "xylophone quasar"), [])
+    assert record["probe_calls"] == 1
+    assert record["prediction"] == "unknown answer"
+    assert record["error"] is None
+
+
 def test_readme_quick_start(tmp_path):
     # README's quick start: build the demo world, index it, and compare the
     # pruned run with retriever order.
@@ -398,6 +447,35 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(out.glob("point_*")) and not list(out.glob("**/records.jsonl"))
+
+    def test_values2_without_param2_rejected(self, world_args, tmp_path, capsys):
+        out = tmp_path / "nop2"
+        code = run_cli(
+            "sweep", *world_args, "--param", "tp", "--values=0,0.05",
+            "--values2", "2,3", "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --values2 requires --param2\n"
+        assert not list(out.glob("point_*"))
+
+    @pytest.mark.parametrize("ceiling, expected", [("0", 1), ("0.5", 0)])
+    def test_each_failing_point_warns_and_the_ceiling_sets_the_exit_code(
+        self, broken_stub_args, tmp_path, capsys, ceiling, expected
+    ):
+        out = tmp_path / "failing"
+        code = run_cli(
+            "sweep", *broken_stub_args, "--rerank", "igp", "--topm", "1",
+            "--failure-ceiling", ceiling, "--param", "tp", "--values", "0.05,0.5",
+            "--out", out,
+        )
+        assert code == expected
+        warnings = capsys.readouterr().err.splitlines()
+        points = sorted(out.glob("point_*"))
+        assert len(points) == 2
+        assert warnings == [
+            f"warning: {p}: 1 queries failed (rate 10.00%, ceiling {float(ceiling):.2%})"
+            for p in points
+        ]
 
     def test_duplicate_axes_rejected(self, world_args, tmp_path):
         code = run_cli(

@@ -36,7 +36,6 @@ class TestNormalizeAnswer:
 
     def test_article_removal_is_opt_in(self):
         assert normalize_answer("the cat") == "the cat"
-        assert normalize_answer("the cat", remove_articles=True) == "cat"
 
     @given(st.text(max_size=60))
     def test_idempotent(self, text):

@@ -4,6 +4,9 @@ forced-continuation scoring, retries, and error classification."""
 import json
 import math
 import random
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, strategies as st
@@ -464,6 +467,97 @@ class TestHttpBackend:
         )
         assert backend.complete_text("p", 16) == "Paris"
         assert "logprobs" not in transport.payloads[0][1]
+
+
+class _Completions(BaseHTTPRequestHandler):
+    """Answers every POST with the server's ``reply`` bytes as a 200,
+    recording the path, client port, Authorization header and payload."""
+
+    protocol_version = "HTTP/1.1"  # keep-alive, as a real endpoint
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append({
+            "path": self.path,
+            "port": self.client_address[1],
+            "auth": self.headers.get("Authorization"),
+            "payload": payload,
+        })
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(self.server.reply)))
+        self.end_headers()
+        self.wfile.write(self.server.reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def endpoint():
+    """A loopback completions server whose address is ``url``."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Completions)
+    server.seen = []
+    server.reply = json.dumps({"choices": [{"index": 0, "text": " Paris"}]}).encode()
+    host, port = server.server_address
+    server.url = f"http://{host}:{port}/v1"
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,))
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestDefaultTransport:
+    """``HttpBackend`` over its own ``requests`` transport, not an injected one."""
+
+    @staticmethod
+    def calls(backend, *prompts):
+        """``complete_text`` of each prompt on this thread, then close the
+        thread's session; a call's exception is returned in its slot."""
+        try:
+            out = []
+            for prompt in prompts:
+                try:
+                    out.append(backend.complete_text(prompt, 4))
+                except Exception as exc:
+                    out.append(exc)
+            return out
+        finally:
+            backend._local.session.close()
+
+    def test_calls_from_one_thread_reuse_one_connection(self, endpoint):
+        backend = HttpBackend(endpoint.url, "m")
+        assert self.calls(backend, "p", "q") == ["Paris", "Paris"]
+        first, second = endpoint.seen
+        assert first["port"] == second["port"]
+        assert first["path"] == "/v1/completions"
+        assert second["payload"] == {"model": "m", "prompt": "q", "temperature": 0, "max_tokens": 4}
+
+    @pytest.mark.parametrize("api_key, auth", [(None, None), ("", None), ("k1", "Bearer k1")])
+    def test_bearer_sent_only_with_an_api_key(self, endpoint, api_key, auth):
+        self.calls(HttpBackend(endpoint.url, "m", api_key=api_key), "p")
+        assert [r["auth"] for r in endpoint.seen] == [auth]
+
+    def test_non_json_200_is_malformed_and_not_retried(self, endpoint):
+        endpoint.reply = b"<html>busy</html>"
+        (error,) = self.calls(HttpBackend(endpoint.url, "m", sleep=pytest.fail), "p")
+        assert isinstance(error, MalformedResponseError)
+        assert len(endpoint.seen) == 1
+
+    def test_closed_port_is_a_transport_error_after_the_retries(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        sleeps = []
+        backend = HttpBackend(
+            f"http://127.0.0.1:{port}/v1", "m", max_retries=2, backoff=0.25, sleep=sleeps.append
+        )
+        (error,) = self.calls(backend, "p")
+        assert isinstance(error, TransportError)
+        assert sleeps == [0.25, 0.5]
 
 
 def choice(index, tokens, finish_reason="stop"):
