@@ -19,11 +19,11 @@ import json
 from pathlib import Path
 
 from igp.core import (
-    DEFAULT_YESNO_TEMPLATE,
     Passage,
     Query,
     render_answer_prompt,
     render_probe_prompt,
+    render_yesno_prompt,
 )
 from igp.retrieve import Analyzer, Bm25Params, build_index, search
 
@@ -96,10 +96,7 @@ def build(out_dir: Path) -> None:
             profile = [onehot, onehot] if passage.id == gold_id else [uniform, uniform]
             table["prompts"][render_probe_prompt(query, passage)] = {"steps": profile}
             yes = -0.1 if passage.id == f"{query.id}-strong2" else -2.4
-            yesno_prompt = DEFAULT_YESNO_TEMPLATE.replace(
-                "{question}", query.question
-            ).replace("{context}", passage.text)
-            table["prompts"][yesno_prompt] = {
+            table["prompts"][render_yesno_prompt(query, passage)] = {
                 "steps": [{"top_logprobs": {"Yes": yes, "No": -2.5 - yes}}]
             }
         answer = query.gold_answers[0]

@@ -21,14 +21,13 @@ from .pipeline import (
     RERANK_METHODS,
     RunConfig,
     RunResult,
-    make_backend,
     read_summary_csv,
     run_dataset,
+    run_points,
     write_csv,
     write_summary_csv,
 )
-from .probe import Prober
-from .retrieve import Analyzer, build_index, load_index, save_index
+from .retrieve import Analyzer, build_index, save_index
 
 _SWEEP_FIELD = {"tp": "tp", "topm": "top_m", "topk": "top_k", "mt": "max_tokens"}
 
@@ -144,20 +143,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep_dir = Path(base.out_dir)
     sweep_dir.mkdir(parents=True, exist_ok=True)
 
-    # One prober for the whole sweep: rollouts probed for one grid point are
-    # reused wherever the point's (prompt, max-token) pair is unchanged.
-    # The no-evidence rollout is probed once per query across a whole tp or
-    # topm grid. When the Top-K width is swept, everything is probed once at
-    # the widest K. Every point gets the same rollout object, which keeps its
-    # NU per width, so each rollout's NU is computed once per width. No
-    # sweep axis moves the index, so it is loaded once too.
-    prober = Prober(make_backend(base), probe_k=max(c.top_k for c in configs))
-    index = load_index(base.index_path)
-
     rows = []
     exit_code = 0
-    for config in configs:
-        result = run_dataset(config, backend=prober, index=index)
+    for config, result in zip(configs, run_points(configs)):
         exit_code |= _finish(result, config)
         rows.append(dict(result.summary, k=config.top_k, mt=config.max_tokens))
     write_summary_csv(sweep_dir / "sweep.csv", rows, extra_columns=("k", "mt"))
@@ -231,7 +219,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     write_summary_csv(out_dir / "pareto.csv", pareto, extra_columns=("k", "mt", "dominated"))
     for row in pareto:
         print(
-            f"pareto: method={row['method']} topm={row['topm']} f1={row['f1']} "
+            f"pareto: method={row['method']} topm={row['topm']} tp={row.get('tp', '')} "
+            f"k={row.get('k', '')} mt={row.get('mt', '')} f1={row['f1']} "
             f"tk={row['tk']} dominated={row['dominated']}"
         )
 

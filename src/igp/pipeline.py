@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     CandidateSet,
@@ -286,77 +286,89 @@ class RunResult:
         return self.failed / len(self.records) if self.records else 0.0
 
 
-def run_dataset(
-    config: RunConfig,
-    backend: Optional[ProbeBackend] = None,
-    index: Optional[InvertedIndex] = None,
-) -> RunResult:
-    """Run the whole dataset, persist records and the summary row, and return
-    both. Per-query failures are recorded and skipped; the caller decides
-    whether the failure rate breaches the configured ceiling.
+def run_points(
+    configs: Sequence[RunConfig], backend: Optional[ProbeBackend] = None
+) -> list[RunResult]:
+    """Run the whole dataset at every point (a run is one point, a sweep
+    several), persist each point's records and summary row, and return the
+    results in point order. Per-query failures are recorded and skipped; the
+    caller decides whether a point's failure rate breaches its ceiling.
 
-    Each query probes through its own ``Prober``: a view of ``backend`` when
-    that is a ``Prober`` (a sweep's, whose store serves every point), else a
-    fresh one whose store dies with the query. ``index`` is loaded from
-    ``config.index_path`` unless given (a sweep loads it once for every
-    point); queries only read it."""
-    if index is None:
-        index = load_index(config.index_path)
-    queries = load_dataset(config.dataset_path)
-    qrels = load_qrels(config.qrels_path) if config.qrels_path else None
-    if config.labeled_only:
+    The index, dataset, qrels and backend come from the first config, so
+    points differ only in per-query settings. Each query runs every point on
+    one worker, through one ``Prober`` made for that query and dropped after
+    it: its rollouts serve every point, probed at the widest Top-K any point
+    asks for, and no rollout outlives its query. Each point gets its own
+    view, so a record's ``probe_calls`` are that point's calls."""
+    first = configs[0]
+    index = load_index(first.index_path)
+    queries = load_dataset(first.dataset_path)
+    qrels = load_qrels(first.qrels_path) if first.qrels_path else None
+    if first.labeled_only:
         queries = [
             q for q in queries if q.gold_answers and (qrels is None or q.id in qrels)
         ]
     if backend is None:
-        backend = make_backend(config)
+        backend = make_backend(first)
+    for config in configs:
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.json").write_text(
+            json.dumps(asdict(config), indent=2, sort_keys=True), encoding="utf-8"
+        )
+    probe_k = max(c.top_k for c in configs)
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(
-        json.dumps(asdict(config), indent=2, sort_keys=True), encoding="utf-8"
-    )
+    def process(query: Query) -> list[RunRecord]:
+        store = Prober(backend, probe_k=probe_k)
+        records = []
+        for config in configs:
+            prober = store.for_query()
+            try:
+                records.append(run_query(query, index, prober, config, qrels))
+            except Exception as exc:
+                records.append(
+                    RunRecord(
+                        query_id=query.id,
+                        question=query.question,
+                        method=config.rerank,
+                        probe_calls=prober.calls,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                )
+        return records
 
-    def process(query: Query) -> RunRecord:
-        prober = backend.for_query() if isinstance(backend, Prober) else Prober(backend)
-        try:
-            return run_query(query, index, prober, config, qrels)
-        except Exception as exc:
-            return RunRecord(
-                query_id=query.id,
-                question=query.question,
-                method=config.rerank,
-                probe_calls=prober.calls,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+    with ThreadPoolExecutor(max_workers=first.parallelism) as pool:
+        by_query = list(pool.map(process, queries))
 
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        records = list(pool.map(process, queries))
+    results = []
+    for i, config in enumerate(configs):
+        records = [query_records[i] for query_records in by_query]
+        ok = [r for r in records if r.error is None]
+        f1_mean = _mean([r.f1 for r in ok if r.f1 is not None])
+        tk_mean = _mean([float(r.input_tokens) for r in ok])
+        ndcg_values = [r.ndcg for r in ok if r.ndcg is not None]
+        summary = {
+            "method": config.rerank,
+            "topm": config.top_m,
+            "tp": config.tp if config.rerank == "igp" else "",
+            "f1": f1_mean if f1_mean is not None else "",
+            "tk": tk_mean if tk_mean is not None else "",
+            "nte": "",
+            "ndcg": _mean(ndcg_values) if ndcg_values else "",
+            "n": len(ok),
+        }
+        out_dir = Path(config.out_dir)
+        with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+        write_summary_csv(out_dir / "summary.csv", [summary])
+        results.append(RunResult(records=records, summary=summary, failed=len(records) - len(ok)))
+    return results
 
-    ok = [r for r in records if r.error is None]
-    failed = len(records) - len(ok)
 
-    f1_mean = _mean([r.f1 for r in ok if r.f1 is not None])
-    tk_mean = _mean([float(r.input_tokens) for r in ok])
-    ndcg_values = [r.ndcg for r in ok if r.ndcg is not None]
-
-    summary = {
-        "method": config.rerank,
-        "topm": config.top_m,
-        "tp": config.tp if config.rerank == "igp" else "",
-        "f1": f1_mean if f1_mean is not None else "",
-        "tk": tk_mean if tk_mean is not None else "",
-        "nte": "",
-        "ndcg": _mean(ndcg_values) if ndcg_values else "",
-        "n": len(ok),
-    }
-
-    with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
-    write_summary_csv(out_dir / "summary.csv", [summary])
-
-    return RunResult(records=records, summary=summary, failed=failed)
+def run_dataset(config: RunConfig, backend: Optional[ProbeBackend] = None) -> RunResult:
+    """Run the whole dataset at one point; see ``run_points``."""
+    return run_points([config], backend)[0]
 
 
 def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> None:

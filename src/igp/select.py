@@ -80,23 +80,17 @@ class SelectedEvidence:
     total_tokens: int
 
 
-def _sort_entries(entries: Sequence[RankedEntry]) -> tuple[RankedEntry, ...]:
-    return tuple(
-        sorted(entries, key=lambda e: (-e.score, e.retriever_rank, e.passage.id))
-    )
-
-
 def _score_candidates(
     candidates: CandidateSet,
     score_kind: str,
     results: Sequence[Any],
     score: Callable[[Passage, Any], tuple[float, bool, Optional[IgScore]]],
 ) -> RankedList:
-    """The loop every generator-scored rerank shares: ``results`` holds each
-    candidate's slot of the query's one backend batch, in retriever order,
-    and ``score`` maps a passage and its result to (score, admitted, IG
-    detail). A failed slot, or an exception from ``score``, becomes a
-    rejected entry carrying the error.
+    """The loop every ranking shares: ``results`` holds each candidate's
+    slot of the query's one backend batch (or its retriever score), in
+    retriever order, and ``score`` maps a passage and its result to (score,
+    admitted, IG detail). A failed slot, or an exception from ``score``,
+    becomes a rejected entry carrying the error.
     """
     entries = []
     for i, ((passage, retriever_score), result) in enumerate(
@@ -122,7 +116,8 @@ def _score_candidates(
                 error=error,
             )
         )
-    return RankedList(query_id=candidates.query_id, entries=_sort_entries(entries))
+    entries.sort(key=lambda e: (-e.score, e.retriever_rank, e.passage.id))
+    return RankedList(query_id=candidates.query_id, entries=tuple(entries))
 
 
 def igp_rerank(
@@ -221,18 +216,8 @@ def yesno_rerank(
 
 def retriever_ranked(candidates: CandidateSet) -> RankedList:
     """Pass-through ranking in retriever order with all candidates admitted."""
-    entries = tuple(
-        RankedEntry(
-            passage=passage,
-            score=retriever_score,
-            score_kind="retriever",
-            admitted=True,
-            retriever_rank=i,
-            retriever_score=retriever_score,
-        )
-        for i, (passage, retriever_score) in enumerate(candidates.candidates)
-    )
-    return RankedList(query_id=candidates.query_id, entries=_sort_entries(entries))
+    scores = [score for _, score in candidates.candidates]
+    return _score_candidates(candidates, "retriever", scores, lambda _, s: (s, True, None))
 
 
 def truncate(ranked: RankedList, budget: EvidenceBudget) -> SelectedEvidence:

@@ -12,9 +12,16 @@ import pytest
 import igp.cli
 import igp.pipeline
 from igp.cli import _config_from_args, build_parser, correlation_rows, main, pareto_rows
-from igp.core import Query, load_dataset, render_answer_prompt, render_probe_prompt
-from igp.pipeline import RunConfig, load_records, read_summary_csv
+from igp.core import (
+    Query,
+    load_dataset,
+    render_answer_prompt,
+    render_probe_prompt,
+    render_yesno_prompt,
+)
+from igp.pipeline import RunConfig, load_records, read_summary_csv, write_summary_csv
 from igp.probe import StubBackend
+from igp.retrieve import Bm25Params, load_index, search
 
 
 def run_cli(*argv):
@@ -270,6 +277,19 @@ def demo_world(tmp_path_factory):
     return root
 
 
+def test_demo_stub_keys_every_probe_prompt(demo_world):
+    # The stub's default entry would answer an unkeyed prompt silently, so a
+    # drift between the fixture's prompts and the renderers shows only here.
+    prompts = json.loads((demo_world / "stub.json").read_text(encoding="utf-8"))["prompts"]
+    index = load_index(demo_world / "bm25.idx")
+    for query in load_dataset(demo_world / "dataset.jsonl"):
+        passages = search(index, query.question, Bm25Params(top_n=5), query.id).passages
+        assert len(passages) == 5
+        for passage in passages:
+            assert render_probe_prompt(query, passage) in prompts
+            assert render_yesno_prompt(query, passage) in prompts
+
+
 @pytest.mark.parametrize("method", ["igp", "none"])
 def test_query_that_retrieves_nothing(demo_world, tmp_path, method):
     # No query term is in the corpus: nothing to rerank, an empty document
@@ -402,18 +422,14 @@ class TestSweepCommand:
         assert len(paths) == 1
 
     def test_index_loaded_once_per_sweep(self, miniworld, world_args, tmp_path, monkeypatch):
-        load = igp.cli.load_index
+        load = igp.pipeline.load_index
         paths = []
 
         def counting_load(path):
             paths.append(path)
             return load(path)
 
-        def no_load(path):
-            raise AssertionError("a sweep point loaded the index itself")
-
-        monkeypatch.setattr(igp.cli, "load_index", counting_load)
-        monkeypatch.setattr(igp.pipeline, "load_index", no_load)
+        monkeypatch.setattr(igp.pipeline, "load_index", counting_load)
         assert run_cli(
             "sweep", *world_args, "--rerank", "igp", "--topm", "1",
             "--param", "tp", "--values", "0.05,0.5",
@@ -543,3 +559,22 @@ class TestReport:
         with open(out / "correlation.csv") as fh:
             corr = list(csv.DictReader(fh))
         assert float(corr[0]["spearman_ndcg_f1"]) == pytest.approx(-1.0)
+
+    def test_report_names_each_sweep_row(self, tmp_path, capsys):
+        # Three tp points of one sweep, equal on every other column, and a
+        # run's summary row, which has no k or mt.
+        rows = [
+            dict(self.rows()[1], tp=tp, k="4", mt="8") for tp in ("-inf", "0.0", "0.05")
+        ]
+        sweep = tmp_path / "sweep.csv"
+        write_summary_csv(sweep, rows, extra_columns=("k", "mt"))
+        summary = tmp_path / "summary.csv"
+        write_summary_csv(summary, self.rows()[:1])
+        assert run_cli("report", sweep, summary, "--out", tmp_path / "report") == 0
+        pareto = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("pareto:")]
+        assert pareto == [
+            "pareto: method=igp topm=1 tp=-inf k=4 mt=8 f1=0.30 tk=100 dominated=false",
+            "pareto: method=igp topm=1 tp=0.0 k=4 mt=8 f1=0.30 tk=100 dominated=false",
+            "pareto: method=igp topm=1 tp=0.05 k=4 mt=8 f1=0.30 tk=100 dominated=false",
+            "pareto: method=none topm=1 tp= k= mt= f1=0.20 tk=90 dominated=false",
+        ]

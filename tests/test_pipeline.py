@@ -3,6 +3,7 @@ replay determinism, pruning edge cases, and the sweep rollout cache."""
 
 import json
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from igp.pipeline import (
     load_records,
     make_backend,
     run_dataset,
+    run_points,
 )
 from igp.probe import (
     HttpBackend,
@@ -32,7 +34,6 @@ from igp.probe import (
     StubBackend,
     UnknownPromptError,
 )
-from igp.retrieve import load_index
 from igp.select import whitespace_token_count, yesno_rerank
 from igp.uncertainty import sequence_nu
 
@@ -259,18 +260,6 @@ class TestRunDataset:
             rb.pop("timings")
         assert rec_a == rec_b
 
-    def test_given_index_writes_the_records_of_a_loaded_one(self, miniworld, tmp_path):
-        loaded = run_dataset(world_config(miniworld, tmp_path / "a"))
-        given = run_dataset(
-            world_config(miniworld, tmp_path / "b"), index=load_index(miniworld.index_path)
-        )
-        assert loaded.summary == given.summary
-        rec_a = load_records(tmp_path / "a" / "records.jsonl")
-        rec_b = load_records(tmp_path / "b" / "records.jsonl")
-        for record in rec_a + rec_b:
-            record.pop("timings")
-        assert rec_a == rec_b
-
     def test_unreachable_threshold_empties_every_prompt(self, miniworld, tmp_path):
         config = world_config(miniworld, tmp_path / "hi-tp", tp=1.5)
         result = run_dataset(config)
@@ -362,6 +351,30 @@ class TestRunDataset:
         assert result.failed == 0
         shared = render_probe_prompt(load_dataset(dataset)[-1], None)
         assert backend.prompts.count(shared) == 2
+
+    def test_sweep_keeps_no_rollouts_across_queries(self, miniworld, tmp_path):
+        # A 2 tp x 2 topk sweep over the twin dataset: each query's probe
+        # prompts go out once, at the widest K, as in a run; the twins share
+        # a question, so theirs go out twice.
+        lines = miniworld.dataset_path.read_text(encoding="utf-8").splitlines()
+        twin = dict(json.loads(lines[0]), id="q0-twin")
+        dataset = tmp_path / "twins.jsonl"
+        dataset.write_text("\n".join([*lines, json.dumps(twin)]) + "\n", encoding="utf-8")
+        backend = RecordingBackend(StubBackend(stub_table(miniworld)))
+        configs = [
+            world_config(
+                miniworld, tmp_path / f"tp{tp}-k{k}", dataset_path=str(dataset), tp=tp, top_k=k
+            )
+            for tp in (0.05, 0.5)
+            for k in (2, 4)
+        ]
+        results = run_points(configs, backend)
+        assert all(result.failed == 0 for result in results)
+        assert {cfg.top_k for _, cfg in backend.batches} == {4}
+        probed = Counter(p for prompts, _ in backend.batches for p in prompts)
+        twin_question = f"User: {twin['question']}\n"
+        assert any(p.startswith(twin_question) for p in probed)
+        assert all(n == (2 if p.startswith(twin_question) else 1) for p, n in probed.items())
 
 
 class TestQueryFailureIsolation:
