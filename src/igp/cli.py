@@ -184,13 +184,24 @@ def pareto_rows(rows: list[dict]) -> list[dict]:
 
 
 def correlation_rows(rows: list[dict]) -> list[dict]:
-    """Spearman correlation between per-method NDCG and F1 at each budget.
-    Budgets with fewer than two methods carrying both metrics are skipped."""
+    """Spearman correlation between NDCG and F1 over the operating points
+    ``(method, tp, k, mt)`` at each budget. A point repeated with equal NDCG
+    and F1 counts once; a repeat with other values counts again and is named
+    on stderr, as is a budget whose correlation is undefined. Budgets with
+    fewer than two points carrying both metrics are skipped."""
     by_topm: dict[str, list[tuple[float, float]]] = {}
+    seen: dict[str, set[tuple[float, float]]] = {}
     for row in rows:
         ndcg, f1 = _as_float(row.get("ndcg")), _as_float(row.get("f1"))
         if ndcg is None or f1 is None:
             continue
+        point = " ".join(f"{c}={row.get(c, '')}" for c in ("topm", "method", "tp", "k", "mt"))
+        values = seen.setdefault(point, set())
+        if (ndcg, f1) in values:
+            continue
+        if values:
+            print(f"warning: {point} repeats with other ndcg/f1 ({ndcg}, {f1})", file=sys.stderr)
+        values.add((ndcg, f1))
         by_topm.setdefault(str(row["topm"]), []).append((ndcg, f1))
     out = []
     for topm in sorted(by_topm):
@@ -199,7 +210,8 @@ def correlation_rows(rows: list[dict]) -> list[dict]:
             continue
         try:
             rho = spearman([p[0] for p in pairs], [p[1] for p in pairs])
-        except ValueError:
+        except ValueError as exc:
+            print(f"warning: topm={topm} skipped: {exc}", file=sys.stderr)
             continue
         out.append({"topm": topm, "spearman_ndcg_f1": rho, "n_methods": len(pairs)})
     return out

@@ -106,6 +106,13 @@ def normalized_token_efficiency(
     return (f1 / tk) / (base_f1 / base_tk)
 
 
+def mean(values: Sequence[float]) -> Optional[float]:
+    """The one mean every summary uses: ``fsum / len``; None when empty."""
+    if not values:
+        return None
+    return math.fsum(values) / len(values)
+
+
 def dataset_summary(
     results: Sequence[SampleResult],
     baseline: Optional[DatasetSummary] = None,
@@ -117,8 +124,8 @@ def dataset_summary(
     if not results:
         raise ValueError("results must be non-empty")
     n = len(results)
-    f1_mean = math.fsum(r.f1 for r in results) / n
-    tk_mean = math.fsum(r.input_tokens for r in results) / n
+    f1_mean = mean([r.f1 for r in results])
+    tk_mean = mean([r.input_tokens for r in results])
     nte: Optional[float] = None
     if baseline is not None:
         nte = normalized_token_efficiency(

@@ -33,6 +33,7 @@ from .evaluate import (
     f1_best_of_refs,
     is_closed_set_yes_no,
     load_qrels,
+    mean,
     ndcg_at_k,
 )
 from .probe import (
@@ -207,8 +208,8 @@ def run_query(
 ) -> RunRecord:
     """retrieve -> rerank -> truncate -> render -> (generate) -> score.
 
-    ``prober`` is this query's own view, so its ``calls`` are the query's
-    probe and generation calls."""
+    The record's ``probe_calls`` is ``prober.calls`` when the query ends, so
+    the caller zeroes it first."""
     t0 = time.monotonic()
     candidates = search(
         index,
@@ -269,12 +270,6 @@ def run_query(
     )
 
 
-def _mean(values: list[float]) -> Optional[float]:
-    if not values:
-        return None
-    return math.fsum(values) / len(values)
-
-
 @dataclass
 class RunResult:
     records: list[RunRecord]  # includes failed queries, error field set
@@ -298,8 +293,8 @@ def run_points(
     points differ only in per-query settings. Each query runs every point on
     one worker, through one ``Prober`` made for that query and dropped after
     it: its rollouts serve every point, probed at the widest Top-K any point
-    asks for, and no rollout outlives its query. Each point gets its own
-    view, so a record's ``probe_calls`` are that point's calls."""
+    asks for, and no rollout outlives its query. Its ``calls`` are zeroed
+    before each point, so a record's ``probe_calls`` are that point's calls."""
     first = configs[0]
     index = load_index(first.index_path)
     queries = load_dataset(first.dataset_path)
@@ -319,10 +314,10 @@ def run_points(
     probe_k = max(c.top_k for c in configs)
 
     def process(query: Query) -> list[RunRecord]:
-        store = Prober(backend, probe_k=probe_k)
+        prober = Prober(backend, probe_k=probe_k)
         records = []
         for config in configs:
-            prober = store.for_query()
+            prober.calls = 0
             try:
                 records.append(run_query(query, index, prober, config, qrels))
             except Exception as exc:
@@ -344,8 +339,8 @@ def run_points(
     for i, config in enumerate(configs):
         records = [query_records[i] for query_records in by_query]
         ok = [r for r in records if r.error is None]
-        f1_mean = _mean([r.f1 for r in ok if r.f1 is not None])
-        tk_mean = _mean([float(r.input_tokens) for r in ok])
+        f1_mean = mean([r.f1 for r in ok if r.f1 is not None])
+        tk_mean = mean([r.input_tokens for r in ok])
         ndcg_values = [r.ndcg for r in ok if r.ndcg is not None]
         summary = {
             "method": config.rerank,
@@ -354,7 +349,7 @@ def run_points(
             "f1": f1_mean if f1_mean is not None else "",
             "tk": tk_mean if tk_mean is not None else "",
             "nte": "",
-            "ndcg": _mean(ndcg_values) if ndcg_values else "",
+            "ndcg": mean(ndcg_values) if ndcg_values else "",
             "n": len(ok),
         }
         out_dir = Path(config.out_dir)

@@ -12,8 +12,6 @@ comes first, and the step that produced the stop signal is included.
 
 from __future__ import annotations
 
-import copy
-import hashlib
 import json
 import math
 import threading
@@ -551,13 +549,15 @@ class HttpBackend(ProbeBackend):
 
 
 class Prober(ProbeBackend):
-    """The wrapper the rerankers probe through: it counts the prompts asked
-    of it in ``calls``, cache hits included, and memoizes greedy rollouts by
-    (prompt hash, max-token cap). A stored rollout serves any Top-K width up
-    to the one it was probed at, since the uncertainty math truncates the
-    recorded entries itself; a wider request re-probes. With ``probe_k`` set,
-    misses are probed at least that wide. Forced scores and generations go to
-    the inner backend uncached and unwidened.
+    """One query's wrapper around the backend its rerankers probe through.
+    ``calls`` counts every prompt asked of it, store hits included. Greedy
+    rollouts are stored by (prompt, max-token cap); ``hits`` and ``misses``
+    count those served from the store and probed into it. A stored rollout
+    serves any Top-K width up to the one it was probed at, since the
+    uncertainty math truncates the recorded entries itself; a wider request
+    re-probes. With ``probe_k`` set, misses are probed at least that wide.
+    Forced scores and generations go to the inner backend uncached and
+    unwidened.
     """
 
     def __init__(self, inner: ProbeBackend, probe_k: Optional[int] = None):
@@ -565,25 +565,9 @@ class Prober(ProbeBackend):
         self._probe_k = probe_k
         self._lock = threading.Lock()
         self._store: dict[tuple[str, int], tuple[int, Rollout]] = {}
-        self._tally = {"hits": 0, "misses": 0}
         self.calls = 0
-
-    def for_query(self) -> "Prober":
-        """A view sharing this prober's backend, store and hit/miss counts,
-        whose own ``calls`` start at 0."""
-        view = copy.copy(self)
-        view.calls = 0
-        return view
-
-    @property
-    def hits(self) -> int:
-        """Rollouts served from the store, over every view."""
-        return self._tally["hits"]
-
-    @property
-    def misses(self) -> int:
-        """Rollouts probed and stored, over every view."""
-        return self._tally["misses"]
+        self.hits = 0
+        self.misses = 0
 
     def greedy_rollout(self, prompt: str, cfg: ProbeConfig) -> Rollout:
         return _only(self.greedy_rollouts([prompt], cfg))
@@ -593,7 +577,7 @@ class Prober(ProbeBackend):
     ) -> list[Rollout | Exception]:
         """Serves hits from the store and sends the misses to the inner
         backend as one batch; only successful rollouts are stored."""
-        keys = [(hashlib.sha256(p.encode("utf-8")).hexdigest(), cfg.max_tokens) for p in prompts]
+        keys = [(p, cfg.max_tokens) for p in prompts]
         results: list = [None] * len(prompts)
         missed: list[int] = []
         with self._lock:
@@ -602,7 +586,7 @@ class Prober(ProbeBackend):
                 cached = self._store.get(key)
                 if cached is not None and cached[0] >= cfg.top_k:
                     results[i] = cached[1]
-                    self._tally["hits"] += 1
+                    self.hits += 1
                 else:
                     missed.append(i)
         if not missed:
@@ -615,7 +599,7 @@ class Prober(ProbeBackend):
                 results[i] = result
                 if not isinstance(result, Exception):
                     self._store[keys[i]] = (cfg.top_k, result)
-                    self._tally["misses"] += 1
+                    self.misses += 1
         return results
 
     def force_score(self, prompt: str, continuation: str, cfg: ProbeConfig) -> list[float]:

@@ -14,11 +14,11 @@ import json
 from pathlib import Path
 
 from igp.core import (
-    DEFAULT_YESNO_TEMPLATE,
     Passage,
     Query,
     render_answer_prompt,
     render_probe_prompt,
+    render_yesno_prompt,
 )
 from igp.probe import ProbeConfig, StepDistribution
 from igp.retrieve import Analyzer, Bm25Params, build_index, save_index, search
@@ -45,12 +45,6 @@ def make_step(logprobs: dict[str, float], index: int = 1, is_eos: bool = False) 
         entries=entries,
         chosen_token=entries[0][0],
         is_eos=is_eos,
-    )
-
-
-def render_yesno_prompt(query: Query, passage: Passage) -> str:
-    return DEFAULT_YESNO_TEMPLATE.replace("{question}", query.question).replace(
-        "{context}", passage.text
     )
 
 

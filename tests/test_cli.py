@@ -543,6 +543,29 @@ class TestReport:
         # ndcg ranks (3, 1, 2) vs f1 ranks (1, 3, 2): perfect reversal.
         assert rows[0]["spearman_ndcg_f1"] == pytest.approx(-1.0)
 
+    def test_correlation_counts_each_operating_point_once(self, capsys):
+        # Five methods, each run twice with equal results.
+        rows = [
+            {"method": m, "topm": "2", "tp": "0.05" if m == "igp" else "",
+             "f1": str(0.1 * i), "ndcg": str(1 - 0.1 * i)}
+            for i, m in enumerate(("none", "ig", "igp", "qlm", "yesno"), 1)
+        ]
+        (row,) = correlation_rows(rows + rows)
+        assert row["n_methods"] == 5
+        assert row["spearman_ndcg_f1"] == pytest.approx(-1.0)
+        assert capsys.readouterr().err == ""
+
+    def test_correlation_names_a_differing_repeat_and_a_skipped_budget(self, capsys):
+        rows = self.rows() + [dict(self.rows()[1], f1="0.35")]
+        rows += [dict(r, topm="2", f1="0.5") for r in self.rows()]
+        (row,) = correlation_rows(rows)
+        assert row["topm"] == "1" and row["n_methods"] == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: topm=1 method=igp tp=0.05 k= mt= repeats with other ndcg/f1 (0.2, 0.35)",
+            "warning: topm=2 skipped: correlation undefined for a constant input vector",
+        ]
+
     def test_report_command_end_to_end(self, tmp_path):
         summary = tmp_path / "summary.csv"
         with open(summary, "w", newline="") as fh:

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import render_yesno_prompt
 from igp.core import (
     CandidateSet,
     Passage,
@@ -16,6 +15,7 @@ from igp.core import (
     load_dataset,
     render_answer_prompt,
     render_probe_prompt,
+    render_yesno_prompt,
 )
 from igp.pipeline import (
     API_KEY_ENV,
@@ -408,6 +408,23 @@ class TestQueryFailureIsolation:
         asked = [p for p in backend.prompts if p.startswith(f"User: {victim.question}\n")]
         assert asked and record.probe_calls == len(asked)
 
+    def test_each_points_failed_record_counts_only_its_own_calls(self, miniworld, tmp_path):
+        table = stub_table(miniworld)
+        victim = load_dataset(miniworld.dataset_path)[0]
+        table["prompts"].pop(render_probe_prompt(victim, None))
+        table.pop("default", None)
+        configs = [
+            world_config(miniworld, tmp_path / f"k{k}", top_k=k)
+            for k in (miniworld.probe_cfg.top_k, 2)
+        ]
+        results = run_points(configs, backend=StubBackend(table))
+        # One no-evidence probe and five candidates per point; the second
+        # point's candidates come from the store but still count.
+        for result in results:
+            (failed,) = [r for r in result.records if r.error is not None]
+            assert failed.query_id == victim.id
+            assert failed.probe_calls == 6
+
 
 class TestHttpEquivalence:
     def test_batched_http_run_equals_stub_run(self, miniworld, tmp_path):
@@ -540,28 +557,18 @@ class TestRolloutCache:
         inner = RecordingBackend(StubBackend(stub_table(miniworld)))
         prompts = [render_probe_prompt(q, None) for q in load_dataset(miniworld.dataset_path)[:3]]
         cache = Prober(inner)
-        counting = cache.for_query()
-        counting.greedy_rollouts(prompts, miniworld.probe_cfg)
-        counting.greedy_rollouts(prompts, miniworld.probe_cfg)
-        assert counting.calls == 6
+        cache.greedy_rollouts(prompts, miniworld.probe_cfg)
+        cache.greedy_rollouts(prompts, miniworld.probe_cfg)
+        assert cache.calls == 6
         assert cache.hits == 3 and len(inner.prompts) == 3
 
-    def test_views_share_the_store_and_count_their_own_calls(self, miniworld):
-        inner = RecordingBackend(StubBackend(stub_table(miniworld)))
-        prompts = [render_probe_prompt(q, None) for q in load_dataset(miniworld.dataset_path)[:3]]
-        prober = Prober(inner)
-        views = [prober.for_query(), prober.for_query()]
-        for view in views:
-            view.greedy_rollouts(prompts, miniworld.probe_cfg)
-        assert [view.calls for view in views] == [3, 3]
-        assert len(inner.prompts) == 3
-        assert prober.hits == views[0].hits == 3
-        assert views[0].for_query().calls == 0
+    def test_forced_score_is_the_backends_and_counts_one_call(self, miniworld):
+        prompt = render_probe_prompt(load_dataset(miniworld.dataset_path)[0], None)
         stub = StubBackend(stub_table(miniworld))
-        view = Prober(stub).for_query()
-        scores = view.force_score(prompts[0], "amber0 beacon0", miniworld.probe_cfg)
-        assert scores == stub.force_score(prompts[0], "amber0 beacon0", miniworld.probe_cfg)
-        assert view.calls == 1
+        prober = Prober(stub)
+        scores = prober.force_score(prompt, "amber0 beacon0", miniworld.probe_cfg)
+        assert scores == stub.force_score(prompt, "amber0 beacon0", miniworld.probe_cfg)
+        assert prober.calls == 1
 
     def test_yesno_through_a_widened_cache_equals_the_bare_backend(self):
         query = Query("q", "is it here")

@@ -7,13 +7,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import render_yesno_prompt, steps_from_profile
+from helpers import steps_from_profile
 from igp.core import (
     CandidateSet,
     EvidenceBudget,
     Passage,
     Query,
     render_probe_prompt,
+    render_yesno_prompt,
 )
 from igp.probe import ProbeConfig, StubBackend
 from igp.select import (
