@@ -159,12 +159,28 @@ def _as_float(value) -> Optional[float]:
     return float(value)
 
 
+def _point_name(row: dict) -> str:
+    return " ".join(f"{c}={row.get(c, '')}" for c in ("topm", "method", "tp", "k", "mt"))
+
+
 def pareto_rows(rows: list[dict]) -> list[dict]:
     """Attach an NTE column (relative to the retriever-only row at the same
-    budget, when present) and flag Pareto-dominated operating points."""
+    budget, when present) and flag Pareto-dominated operating points. With
+    several retriever-only rows at a budget the last is the baseline; when
+    they differ in (f1, tk), stderr names the one used."""
     out = [dict(r) for r in rows]
     points = [(_as_float(r["f1"]), _as_float(r["tk"])) for r in out]
-    baselines = {r["topm"]: p for r, p in zip(out, points) if r["method"] == "none"}
+    nones = [(r, p) for r, p in zip(out, points) if r["method"] == "none"]
+    last_none = {r["topm"]: (r, p) for r, p in nones}
+    for topm, (used, base) in last_none.items():
+        if any(r["topm"] == topm and p != base for r, p in nones):
+            print(
+                f"warning: NTE baseline at topm={topm} is the last none row, "
+                f"{_point_name(used)} f1={used['f1']} tk={used['tk']}; "
+                "other none rows there differ in (f1, tk)",
+                file=sys.stderr,
+            )
+    baselines = {topm: p for topm, (_, p) in last_none.items()}
     known = [p for p in points if None not in p]
     for row, (f1, tk) in zip(out, points):
         base = baselines.get(row["topm"])
@@ -195,7 +211,7 @@ def correlation_rows(rows: list[dict]) -> list[dict]:
         ndcg, f1 = _as_float(row.get("ndcg")), _as_float(row.get("f1"))
         if ndcg is None or f1 is None:
             continue
-        point = " ".join(f"{c}={row.get(c, '')}" for c in ("topm", "method", "tp", "k", "mt"))
+        point = _point_name(row)
         values = seen.setdefault(point, set())
         if (ndcg, f1) in values:
             continue
@@ -217,10 +233,24 @@ def correlation_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
+def _report_rows(path: str) -> list[dict]:
+    """The rows of a summary or sweep CSV. A run's ``summary.csv`` has no
+    ``k`` or ``mt`` column; they come from the ``config.json`` beside it,
+    when there is one, so a run and its equal sweep point are one point."""
+    rows = read_summary_csv(path)
+    config_path = Path(path).parent / "config.json"
+    if config_path.is_file():
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        for row in rows:
+            row.setdefault("k", str(config["top_k"]))
+            row.setdefault("mt", str(config["max_tokens"]))
+    return rows
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     for path in args.summaries:
-        rows.extend(read_summary_csv(path))
+        rows.extend(_report_rows(path))
     if not rows:
         print("error: no summary rows found", file=sys.stderr)
         return 1

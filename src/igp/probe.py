@@ -16,6 +16,7 @@ import json
 import math
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import pairwise
 from operator import eq, itemgetter
@@ -80,6 +81,9 @@ class StepDistribution:
     entries: tuple[tuple[str, float], ...]
     chosen_token: str
     is_eos: bool = False
+    # The entries' exp and z·e terms, filled by ``uncertainty``; outside
+    # equality, hashing and repr, and empty again after ``replace``.
+    _nu_terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.step_index < 1:
@@ -399,15 +403,22 @@ class HttpBackend(ProbeBackend):
             raise MalformedResponseError(f"no choices in response: {body}") from exc
 
     @staticmethod
-    def _choices(body: dict, count: int) -> Optional[list[dict]]:
-        """The choices of a list-prompt response in prompt order, matched by
-        ``index``; None unless there is exactly one per prompt."""
+    def _choices(body: dict, count: int) -> list[Optional[dict]]:
+        """The choice of each prompt of a list-prompt response, matched by
+        ``index``: None for a prompt that no object choice claims alone, and
+        for every prompt unless there is one choice per prompt."""
         try:
             choices = body["choices"]
-            by_index = {choice["index"]: choice for choice in choices}
-            return [by_index[i] for i in range(count)] if len(choices) == count else None
+            if len(choices) == count:
+                indexed = [
+                    (c["index"], c) for c in choices if isinstance(c, dict) and "index" in c
+                ]
+                claims = Counter(i for i, _ in indexed)
+                by_index = {i: c for i, c in indexed if claims[i] == 1}
+                return [by_index.get(i) for i in range(count)]
         except (KeyError, TypeError):
-            return None
+            pass
+        return [None] * count
 
     def _payload(self, prompt: str | list[str], **fields) -> dict:
         return {"model": self.model, "prompt": prompt, "temperature": 0, **fields}
@@ -423,9 +434,10 @@ class HttpBackend(ProbeBackend):
         ``MalformedResponseError`` when it has the wrong shape. A batch the
         endpoint refuses, or answers with a choice set that does not match
         the prompts, is re-sent one prompt per request, so each prompt gets
-        the result or error it gets alone. Retries used up on the batch fail
-        every prompt without a re-send. One prompt, or a list holding an
-        empty one, goes as plain string payloads.
+        the result or error it gets alone. In a matching set, only the
+        prompts that no one choice claims by ``index`` are re-sent. Retries
+        used up on the batch fail every prompt without a re-send. One prompt,
+        or a list holding an empty one, goes as plain string payloads.
         """
 
         def parsed(choice: dict, i: int) -> T:
@@ -439,7 +451,7 @@ class HttpBackend(ProbeBackend):
                 raise ValueError("prompt must be non-empty")
             return parsed(self._choice(self._request(self._payload(wire[i], **fields))), i)
 
-        choices = None
+        choices: list[Optional[dict]] = [None] * len(wire)
         if len(wire) > 1 and all(wire):
             try:
                 body = self._request(self._payload(list(wire), **fields))
@@ -449,9 +461,10 @@ class HttpBackend(ProbeBackend):
                 pass
             else:
                 choices = self._choices(body, len(wire))
-        if choices is None:
-            return _each(alone, range(len(wire)))
-        return _each(lambda i: parsed(choices[i], i), range(len(wire)))
+        return _each(
+            lambda i: alone(i) if choices[i] is None else parsed(choices[i], i),
+            range(len(wire)),
+        )
 
     def greedy_rollout(self, prompt: str, cfg: ProbeConfig) -> Rollout:
         return _only(self.greedy_rollouts([prompt], cfg))

@@ -97,18 +97,19 @@ def token_entropy(probs: Sequence[tuple[str, float]]) -> float:
     return -math.fsum(p * math.log(p) for _, p in probs if p > 0.0)
 
 
-def _entropy_from_logprobs(logprobs: Sequence[float]) -> float:
-    # Log-domain form of the renormalized entropy: log(sum e^z) - sum(z e^z)/sum(e^z)
-    # with z shifted by the max. Equals token_entropy(topk_renormalize(...))
-    # and is exact on uniform and one-hot steps.
-    m = max(logprobs)
+def _fill_nu_terms(step: StepDistribution) -> tuple[list[float], list[float]]:
+    """The step's ``e = exp(z)`` and ``z·e`` terms at its full recorded width,
+    with z each logprob shifted by the first. Entries are sorted, so the first
+    is the maximum of every prefix and the terms at width k are the first k of
+    these. An e of 0 (a ``-inf`` or underflowing entry) gets a 0.0 z·e term."""
+    m = step.entries[0][1]
     if m == -math.inf:
         raise DegenerateDistributionError("all entries carry zero probability")
-    shifted = [lp - m for lp in logprobs]
-    exps = [math.exp(z) for z in shifted]
-    total = math.fsum(exps)
-    dot = math.fsum(z * e for z, e in zip(shifted, exps) if e > 0.0)
-    return math.log(total) - dot / total
+    shifted = [lp - m for _, lp in step.entries]
+    exps = list(map(math.exp, shifted))
+    terms = (exps, [z * e if e > 0.0 else 0.0 for z, e in zip(shifted, exps)])
+    object.__setattr__(step, "_nu_terms", terms)
+    return terms
 
 
 def step_normalized_uncertainty(step: StepDistribution, k: int) -> float:
@@ -118,17 +119,22 @@ def step_normalized_uncertainty(step: StepDistribution, k: int) -> float:
     When the backend recorded fewer than k alternatives, normalization uses
     the actual set size so the result stays <= 1; when it recorded more
     (e.g. re-deriving at a smaller k from cached steps), the entry list is
-    truncated to its top k before renormalizing.
+    truncated to its top k before renormalizing. The exp terms are computed
+    once per step, so each further width costs two sums and a log.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    effective = step.entries[:k]
-    k_prime = len(effective)
+    k_prime = min(k, len(step.entries))
     if k_prime < 2:
         raise DegenerateStepError(
             f"step {step.step_index} has {k_prime} usable entries; need >= 2"
         )
-    h = _entropy_from_logprobs([lp for _, lp in effective])
+    exps, zes = step._nu_terms or _fill_nu_terms(step)
+    # Log-domain form of the renormalized entropy: log(sum e^z) - sum(z e^z)/sum(e^z).
+    # Equals token_entropy(topk_renormalize(...)) and is exact on uniform and
+    # one-hot steps.
+    total = math.fsum(exps[:k_prime])
+    h = math.log(total) - math.fsum(zes[:k_prime]) / total
     return min(max(h / math.log(k_prime), 0.0), 1.0)
 
 

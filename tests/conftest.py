@@ -1,11 +1,15 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import igp.uncertainty as uncertainty
 from helpers import build_miniworld
 
 _TESTS = Path(__file__).parent
+
+# More examples and no per-example deadline, for CI: pytest --hypothesis-profile ci
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 def pytest_collection_modifyitems(items):

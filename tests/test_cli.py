@@ -601,3 +601,46 @@ class TestReport:
             "pareto: method=igp topm=1 tp=0.05 k=4 mt=8 f1=0.30 tk=100 dominated=false",
             "pareto: method=none topm=1 tp= k= mt= f1=0.20 tk=90 dominated=false",
         ]
+
+    def test_run_and_its_equal_sweep_point_count_once(self, tmp_path, capsys):
+        # Each method's run summary has a config.json beside it at K=4,
+        # mt=8; the sweep repeats igp's row at those settings.
+        summaries = []
+        for row in self.rows():
+            run_dir = tmp_path / f"run-{row['method']}"
+            run_dir.mkdir()
+            write_summary_csv(run_dir / "summary.csv", [row])
+            (run_dir / "config.json").write_text(json.dumps({"top_k": 4, "max_tokens": 8}))
+            summaries.append(run_dir / "summary.csv")
+        sweep = tmp_path / "sweep.csv"
+        write_summary_csv(sweep, [dict(self.rows()[1], k=4, mt=8)], extra_columns=("k", "mt"))
+        assert run_cli("report", *summaries, sweep, "--out", tmp_path / "report") == 0
+        out, err = capsys.readouterr()
+        assert "correlation: topm=1 spearman(ndcg, f1)=-1.0000 over 3 methods" in out.splitlines()
+        assert "pareto: method=none topm=1 tp= k=4 mt=8 f1=0.20 tk=90 dominated=false" in out
+        assert err == ""
+        (row,) = read_summary_csv(tmp_path / "report" / "correlation.csv")
+        assert row["n_methods"] == "3"
+
+    def test_run_summary_reads_k_and_mt_from_its_config(self, world_args, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("run", *world_args, "--rerank", "none", "--topm", 1, "--out", out) == 0
+        (row,) = igp.cli._report_rows(str(out / "summary.csv"))
+        config = json.loads((out / "config.json").read_text())
+        assert (row["k"], row["mt"]) == (str(config["top_k"]), str(config["max_tokens"]))
+        with open(out / "summary.csv", newline="") as fh:
+            assert "k" not in next(csv.reader(fh))
+
+    def test_pareto_names_the_baseline_among_differing_none_rows(self, capsys):
+        rows = self.rows() + [dict(self.rows()[0], f1="0.10", k="4", mt="8")]
+        out = {r["method"]: r for r in pareto_rows(rows)}
+        assert out["igp"]["nte"] == pytest.approx((0.3 / 100) / (0.1 / 90))
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: NTE baseline at topm=1 is the last none row, "
+            "topm=1 method=none tp= k=4 mt=8 f1=0.10 tk=90; "
+            "other none rows there differ in (f1, tk)"
+        ]
+
+    def test_pareto_is_silent_over_equal_none_rows(self, capsys):
+        pareto_rows(self.rows() + [dict(self.rows()[0], k="4", mt="8")])
+        assert capsys.readouterr().err == ""

@@ -635,6 +635,21 @@ class TestHttpBatch:
         assert [r.chosen_tokens for r in results] == [("a",), ("b",)]
         assert len(transport.payloads) == 3
 
+    def test_only_unclaimed_prompts_resent_one_per_request(self):
+        # p1's choice has no index and p2's index is claimed twice: the
+        # batch still answers p0, and only p1 and p2 go again, alone.
+        unindexed = {k: v for k, v in choice(1, ["b"]).items() if k != "index"}
+        body = {"choices": [choice(0, ["a"]), unindexed, choice(3, ["x"]), choice(3, ["y"])]}
+        backend, transport = http_backend(
+            [(200, body), (200, {"choices": [choice(0, ["b"])]}),
+             (200, {"choices": [choice(0, ["c"])]}), (200, {"choices": [choice(0, ["d"])]})]
+        )
+        results = backend.greedy_rollouts(["p0", "p1", "p2", "p3"], CFG)
+        assert [r.chosen_tokens for r in results] == [("a",), ("b",), ("c",), ("d",)]
+        assert [payload["prompt"] for _, payload in transport.payloads] == [
+            ["p0", "p1", "p2", "p3"], "p1", "p2", "p3",
+        ]
+
     def test_exhausted_transport_fails_every_prompt_without_resend(self):
         backend, transport = http_backend([TransportError("boom")] * 3, max_retries=2)
         results = backend.greedy_rollouts(["p0", "p1", "p2"], CFG)
@@ -793,15 +808,14 @@ class TestMalformedChoice:
 
     def test_non_object_choice_fails_only_its_own_slot(self):
         # A choice without an index cannot be matched to its prompt, so
-        # the batch is re-sent one prompt per request.
+        # that prompt alone is re-sent; the other keeps its batch choice.
         backend, transport = http_backend(
-            [(200, {"choices": [choice(0, ["a"]), "oops"]})]
-            + [(200, {"choices": [c]}) for c in (choice(0, ["a"]), "oops")]
+            [(200, {"choices": [choice(0, ["a"]), "oops"]}), (200, {"choices": ["oops"]})]
         )
         first, second = backend.greedy_rollouts(["p0", "p1"], CFG)
         assert first.chosen_tokens == ("a",)
         assert isinstance(second, MalformedResponseError)
-        assert len(transport.payloads) == 3
+        assert len(transport.payloads) == 2
 
 
 class TestRolloutInvariants:

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import igp.uncertainty as uncertainty
 from helpers import HALF, ONEHOT, UNIFORM, make_step
 from igp.probe import Rollout
 from igp.uncertainty import (
@@ -251,6 +252,113 @@ class TestNuMemo:
         fresh = replace(a, eos_signal="step_flag")
         assert fresh._nu_memo == {}
         assert fresh._nu_memo is not a._nu_memo
+
+
+def reference_step_nu(step, k):
+    """The per-width formula without shared terms: cut the entries to k,
+    shift by their max, and exponentiate and sum afresh at every width."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    effective = step.entries[:k]
+    k_prime = len(effective)
+    if k_prime < 2:
+        raise DegenerateStepError(
+            f"step {step.step_index} has {k_prime} usable entries; need >= 2"
+        )
+    logprobs = [lp for _, lp in effective]
+    m = max(logprobs)
+    if m == -math.inf:
+        raise DegenerateDistributionError("all entries carry zero probability")
+    shifted = [lp - m for lp in logprobs]
+    exps = [math.exp(z) for z in shifted]
+    total = math.fsum(exps)
+    dot = math.fsum(z * e for z, e in zip(shifted, exps) if e > 0.0)
+    h = math.log(total) - dot / total
+    return min(max(h / math.log(k_prime), 0.0), 1.0)
+
+
+def outcome(fn, *args):
+    """A float as its exact bits (sign of zero included), or an exception
+    as its type and message."""
+    try:
+        return fn(*args).hex()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+finite_logprobs = st.floats(min_value=-60.0, max_value=5.0, allow_nan=False)
+# One list of logprobs per kind of step the shared terms must match on:
+# general, uniform, one-hot, -inf-tailed, subnormal or underflowing tails
+# (z < -745 makes exp return 0), and all -inf. make_step sorts them.
+step_logprobs = st.one_of(
+    st.lists(finite_logprobs, min_size=1, max_size=40),
+    st.integers(1, 40).flatmap(lambda n: st.lists(st.just(-1.5), min_size=n, max_size=n)),
+    st.integers(1, 40).map(lambda n: [0.0] + [-math.inf] * (n - 1)),
+    st.tuples(
+        st.lists(finite_logprobs, min_size=1, max_size=20),
+        st.integers(1, 20),
+    ).map(lambda t: t[0] + [-math.inf] * t[1]),
+    st.tuples(
+        finite_logprobs,
+        st.lists(st.floats(min_value=-2000.0, max_value=-700.0), min_size=1, max_size=20),
+    ).map(lambda t: [t[0]] + [t[0] + z for z in t[1]]),
+    st.integers(1, 6).map(lambda n: [-math.inf] * n),
+)
+
+
+class TestSharedStepTerms:
+    @settings(max_examples=300)
+    @given(step_logprobs, st.lists(st.integers(1, 45), min_size=1, max_size=6))
+    def test_every_width_matches_the_reference_bit_for_bit(self, values, widths):
+        # Widths below, at and above the entry count, in any order, on one
+        # step whose terms the first width fills; errors match in type and
+        # message.
+        step = step_from_values(values)
+        for k in widths + [len(values) - 1, len(values), len(values) + 1]:
+            assert outcome(step_normalized_uncertainty, step, k) == outcome(
+                reference_step_nu, step, k
+            )
+
+    def test_underflowing_and_minus_inf_entries_add_zero_terms(self):
+        step = make_step({"a": 0.0, "b": -0.5, "c": -800.0, "d": -math.inf})
+        assert step_normalized_uncertainty(step, 4).hex() == reference_step_nu(step, 4).hex()
+        _, zes = step._nu_terms
+        assert [z.hex() for z in zes[2:]] == [(0.0).hex()] * 2
+
+    def test_degenerate_steps_raise_as_the_reference(self):
+        cases = [
+            (make_step(UNIFORM), 1),
+            (make_step({"a": -3.0}), 4),
+            (make_step({"a": -math.inf, "b": -math.inf}), 2),
+        ]
+        for step, k in cases:
+            expected = outcome(reference_step_nu, step, k)
+            assert isinstance(expected, tuple)
+            assert outcome(step_normalized_uncertainty, step, k) == expected
+            assert step._nu_terms is None
+
+    def test_a_second_width_reuses_the_terms(self, monkeypatch, nu_computations):
+        fills = []
+        real = uncertainty._fill_nu_terms
+
+        def counting(step):
+            fills.append(step)
+            return real(step)
+
+        monkeypatch.setattr(uncertainty, "_fill_nu_terms", counting)
+        rollout = rollout_from_profiles([UNIFORM, HALF, ONEHOT])
+        for k in (4, 2, 3, 4, 2):
+            sequence_nu(rollout, k)
+        assert nu_computations == [(4, None), (2, None), (3, None)]
+        assert [id(step) for step in fills] == [id(step) for step in rollout.steps]
+
+    def test_terms_outside_equality_hash_repr_and_replace(self):
+        a, b = make_step(HALF), make_step(HALF)
+        step_normalized_uncertainty(a, 4)
+        assert a._nu_terms is not None and b._nu_terms is None
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and "terms" not in repr(a)
+        assert replace(a, is_eos=True)._nu_terms is None
 
 
 class TestInformationGain:
