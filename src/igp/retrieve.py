@@ -17,6 +17,8 @@ import heapq
 import json
 import math
 import re
+import sys
+import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -29,7 +31,9 @@ from .core import CandidateSet, Passage
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
 _INDEX_FORMAT = "bm25-index"
-_INDEX_VERSION = 2
+_INDEX_VERSION = 3
+# Postings columns are stored little-endian whatever the host's order.
+_BIG_ENDIAN = sys.byteorder == "big"
 # Fixed, so index files stay byte-deterministic; low, because at level 9
 # compression was most of the time ``igp index`` spent.
 _GZIP_LEVEL = 1
@@ -235,12 +239,16 @@ def search(
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Persist the index as deterministic gzip-compressed JSON: rebuilding
-    from the same corpus yields byte-identical files. Postings are stored
-    flat: run ``i`` holds ``terms[i]`` and ends at ``ends[i]`` in ``doc_ids``
-    and ``tfs``."""
+    """Persist the index as one deterministic gzip stream: rebuilding from
+    the same corpus yields byte-identical files.
+
+    Format version 3: one compact JSON header line holds the analyzer, the
+    per-passage fields and the postings layout (run ``i`` holds ``terms[i]``
+    and ends at ``ends[i]`` in ``doc_ids`` and ``tfs``). The ``doc_ids``
+    column follows the header, then ``tfs``, each ``ends[-1]`` raw
+    little-endian int32 values."""
     terms = sorted(index.runs, key=index.runs.__getitem__)
-    payload = {
+    header = {
         "format": _INDEX_FORMAT,
         "version": _INDEX_VERSION,
         "analyzer": {
@@ -254,10 +262,9 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "texts": list(index.texts),
         "terms": terms,
         "ends": [index.runs[t][1] for t in terms],
-        "doc_ids": index.doc_ids.tolist(),
-        "tfs": index.tfs.tolist(),
     }
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # Compact JSON escapes every newline inside a string: the header is one line.
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         # filename="" and mtime=0 keep the gzip header content-independent,
         # so identical corpora produce byte-identical index files.
@@ -265,40 +272,88 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
             filename="", fileobj=fh, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0
         ) as gz:
             gz.write(encoded)
+            gz.write(b"\n")
+            for column in (index.doc_ids, index.tfs):
+                if _BIG_ENDIAN:
+                    column = array("i", column)
+                    column.byteswap()
+                gz.write(column.tobytes())
 
 
 def load_index(path: str | Path) -> InvertedIndex:
+    """Load a version-3 index. The header's format, version and analyzer
+    fingerprint are checked before any postings are read; each column is
+    read as raw bytes straight into an array. A truncated or corrupt file,
+    a short column, trailing bytes or an inconsistent header raises
+    ``IndexFormatError``."""
     try:
         with gzip.open(path, "rb") as gz:
-            payload = json.loads(gz.read().decode("utf-8"))
-    except (OSError, ValueError) as exc:
+            header = json.loads(gz.readline())
+            analyzer = _check_header(header, path)
+            terms, ends = header["terms"], header["ends"]
+            total = ends[-1] if ends else 0
+            doc_ids = _read_column(gz, total, "doc_ids", path)
+            tfs = _read_column(gz, total, "tfs", path)
+            if gz.read(1):
+                raise IndexFormatError(f"{path}: trailing bytes after the postings")
+        return InvertedIndex(
+            runs=dict(zip(terms, zip([0] + ends[:-1], ends))),
+            doc_ids=doc_ids,
+            tfs=tfs,
+            doc_lengths=tuple(header["doc_lengths"]),
+            avg_doc_length=float(header["avg_doc_length"]),
+            doc_count=int(header["doc_count"]),
+            ids=tuple(header["ids"]),
+            texts=tuple(header["texts"]),
+            analyzer=analyzer,
+        )
+    except IndexFormatError:
+        raise
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zlib.error) as exc:
         raise IndexFormatError(f"cannot read index file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _INDEX_FORMAT:
+
+
+def _check_header(header: object, path: str | Path) -> Analyzer:
+    """Refuse a header of another format, version or analyzer, or whose
+    fields disagree in shape; return its analyzer. Costs O(terms + docs),
+    with no pass over the postings."""
+    if not isinstance(header, dict) or header.get("format") != _INDEX_FORMAT:
         raise IndexFormatError(f"{path} is not a {_INDEX_FORMAT} file")
-    if payload.get("version") != _INDEX_VERSION:
+    if header.get("version") != _INDEX_VERSION:
         raise IndexFormatError(
-            f"index version {payload.get('version')} unsupported "
+            f"index version {header.get('version')} unsupported "
             f"(expected {_INDEX_VERSION}); rebuild it with `igp index`"
         )
-    analyzer = Analyzer(stopwords=frozenset(payload["analyzer"]["stopwords"]))
-    if analyzer.fingerprint != payload["analyzer"]["fingerprint"]:
+    analyzer = Analyzer(stopwords=frozenset(header["analyzer"]["stopwords"]))
+    if analyzer.fingerprint != header["analyzer"]["fingerprint"]:
         raise IndexFormatError(
             "analyzer fingerprint mismatch: index was built with an "
             "incompatible analyzer"
         )
-    terms, ends = payload["terms"], payload["ends"]
-    doc_ids, tfs = array("i", payload["doc_ids"]), array("i", payload["tfs"])
-    total = ends[-1] if ends else 0
-    if len(terms) != len(ends) or not len(doc_ids) == len(tfs) == total:
-        raise IndexFormatError(f"{path}: postings runs do not cover the postings arrays")
-    return InvertedIndex(
-        runs=dict(zip(terms, zip([0] + ends[:-1], ends))),
-        doc_ids=doc_ids,
-        tfs=tfs,
-        doc_lengths=tuple(payload["doc_lengths"]),
-        avg_doc_length=float(payload["avg_doc_length"]),
-        doc_count=int(payload["doc_count"]),
-        ids=tuple(payload["ids"]),
-        texts=tuple(payload["texts"]),
-        analyzer=analyzer,
-    )
+    doc_count = header["doc_count"]
+    for field in ("ids", "texts", "doc_lengths"):
+        if len(header[field]) != doc_count:
+            raise IndexFormatError(
+                f"{path}: {field} holds {len(header[field])} entries, "
+                f"not doc_count {doc_count}"
+            )
+    terms, ends = header["terms"], header["ends"]
+    if len(terms) != len(ends):
+        raise IndexFormatError(f"{path}: terms and ends differ in length")
+    if any(a > b for a, b in zip([0] + ends, ends)):
+        raise IndexFormatError(f"{path}: ends decrease")
+    return analyzer
+
+
+def _read_column(gz: gzip.GzipFile, count: int, name: str, path: str | Path) -> array:
+    """Read ``count`` little-endian int32 values; refuse a short column."""
+    column = array("i")
+    data = gz.read(count * column.itemsize)
+    if len(data) != count * column.itemsize:
+        raise IndexFormatError(
+            f"{path}: {name} ends after {len(data) // column.itemsize} of {count} postings"
+        )
+    column.frombytes(data)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column

@@ -1,7 +1,8 @@
 """Shared fixture builders: scripted stub tables with hand-computable
-uncertainty profiles, and a small end-to-end world (corpus + dataset + qrels
+uncertainty profiles, a small end-to-end world (corpus + dataset + qrels
 + stub) whose gold passages collapse generation uncertainty while the
-retriever prefers longer, term-stuffed distractors.
+retriever prefers longer, term-stuffed distractors, and index files cut
+short inside a chosen section.
 
 Step profiles use single letters: "u" is a uniform step (normalized
 uncertainty exactly 1), "o" a one-hot step (exactly 0), "h" a half step
@@ -11,6 +12,7 @@ uncertainty exactly 1), "o" a one-hot step (exactly 0), "h" a half step
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 
 from igp.core import (
@@ -46,6 +48,24 @@ def make_step(logprobs: dict[str, float], index: int = 1, is_eos: bool = False) 
         chosen_token=entries[0][0],
         is_eos=is_eos,
     )
+
+
+def cut_inside(raw: bytes, section: str) -> int:
+    """An offset in the middle of ``section`` of a decompressed index."""
+    header_end = raw.index(b"\n") + 1
+    column = (len(raw) - header_end) // 2
+    return {
+        "header": header_end // 2,
+        "doc_ids": header_end + column // 2 + 1,
+        "tfs": header_end + column + column // 2 + 1,
+    }[section]
+
+
+def cut_short(data: bytes) -> bytes:
+    """A gzip stream of ``data`` that stops before its end-of-stream marker,
+    as a file cut short while it was written."""
+    compressor = zlib.compressobj(1, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
+    return compressor.compress(data) + compressor.flush(zlib.Z_SYNC_FLUSH)
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> None:

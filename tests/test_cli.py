@@ -2,12 +2,15 @@
 and the report tables (Pareto dominance, NDCG-F1 correlation)."""
 
 import csv
+import gzip
 import json
 import runpy
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from helpers import cut_inside, cut_short
 
 import igp.cli
 import igp.pipeline
@@ -226,6 +229,21 @@ class TestRunCommand:
         args = list(world_args)
         args[args.index("--index") + 1] = tmp_path / "missing.idx"
         assert run_cli("run", *args, "--out", tmp_path / "r") == 2
+
+    @pytest.mark.parametrize("damage", ["header", "doc_ids", "tfs", "trailing byte"])
+    def test_damaged_index_fails_cleanly(self, miniworld, world_args, tmp_path, capsys, damage):
+        raw = gzip.decompress(Path(miniworld.index_path).read_bytes())
+        if damage == "trailing byte":
+            damaged = gzip.compress(raw + b"\0")
+        else:
+            damaged = cut_short(raw[: cut_inside(raw, damage)])
+        path = tmp_path / "damaged.idx"
+        path.write_bytes(damaged)
+        args = list(world_args)
+        args[args.index("--index") + 1] = path
+        assert run_cli("run", *args, "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     def test_failure_ceiling_gates_exit_code(self, miniworld, world_args, tmp_path):
         # Break the no-evidence probe for one query: that query fails, the

@@ -10,6 +10,7 @@ import gzip
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from array import array
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from helpers import cut_inside, cut_short
 
 from igp.core import Passage
 from igp.retrieve import (
@@ -36,6 +39,14 @@ DOCS = [
     Passage("doc-c", "red dwarf stars burn slowly for a very long time"),
     Passage("doc-d", "planets orbit stars in nearly elliptical paths"),
 ]
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a saved index's JSON header; keep the bytes after it."""
+    line, _, postings = gzip.decompress(path.read_bytes()).partition(b"\n")
+    header = json.loads(line)
+    edit(header)
+    path.write_bytes(gzip.compress(json.dumps(header).encode("utf-8") + b"\n" + postings))
 
 
 def brute_force_scores(docs, query, params, analyzer=Analyzer()):
@@ -292,14 +303,7 @@ class TestPersistence:
     def test_fingerprint_mismatch_detected(self, tmp_path):
         path = tmp_path / "bm25.idx"
         save_index(build_index(DOCS), path)
-        import gzip
-        import json
-
-        payload = json.loads(gzip.open(path).read())
-        payload["analyzer"]["fingerprint"] = "0" * 64
-        with open(path, "wb") as fh:
-            with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
-                gz.write(json.dumps(payload).encode("utf-8"))
+        rewrite_header(path, lambda h: h["analyzer"].update(fingerprint="0" * 64))
         with pytest.raises(IndexFormatError, match="fingerprint"):
             load_index(path)
 
@@ -324,7 +328,108 @@ class TestPersistence:
         }
         path = tmp_path / "v1.idx"
         path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
-        with pytest.raises(IndexFormatError, match=r"version 1 .*expected 2.*igp index"):
+        with pytest.raises(IndexFormatError, match=r"version 1 .*expected 3.*igp index"):
+            load_index(path)
+
+    def test_version_2_index_refused(self, tmp_path):
+        # Format 2's layout: one JSON document with the postings as lists.
+        payload = {
+            "format": "bm25-index",
+            "version": 2,
+            "analyzer": {"fingerprint": Analyzer().fingerprint, "stopwords": []},
+            "doc_count": 1,
+            "avg_doc_length": 2.0,
+            "doc_lengths": [2],
+            "ids": ["doc-a"],
+            "texts": ["yellow sun"],
+            "terms": ["sun", "yellow"],
+            "ends": [1, 2],
+            "doc_ids": [0, 0],
+            "tfs": [1, 1],
+        }
+        path = tmp_path / "v2.idx"
+        path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
+        with pytest.raises(IndexFormatError, match=r"version 2 .*expected 3.*igp index"):
+            load_index(path)
+
+    def test_postings_follow_the_header_as_little_endian_int32(self, tmp_path):
+        index = build_index(DOCS)
+        path = tmp_path / "bm25.idx"
+        save_index(index, path)
+        stored = path.read_bytes()
+        # No FNAME flag and mtime 0: the gzip header names no file and no time.
+        assert stored[3] == 0 and stored[4:8] == bytes(4)
+        line, newline, postings = gzip.decompress(stored).partition(b"\n")
+        header = json.loads(line)
+        assert newline and line == json.dumps(
+            header, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        assert "doc_ids" not in header and "tfs" not in header
+        n = len(index.doc_ids)
+        assert header["ends"][-1] == n
+        assert postings == struct.pack("<%di" % n, *index.doc_ids) + struct.pack(
+            "<%di" % n, *index.tfs
+        )
+
+    def test_header_checked_before_the_postings(self, tmp_path):
+        path = tmp_path / "bm25.idx"
+        save_index(build_index(DOCS), path)
+        line = gzip.decompress(path.read_bytes()).partition(b"\n")[0]
+        header = json.loads(line)
+        header["version"] = 2
+        # Postings cut short, but the version is refused first.
+        path.write_bytes(gzip.compress(json.dumps(header).encode("utf-8") + b"\n\0"))
+        with pytest.raises(IndexFormatError, match="version 2"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h["ids"].pop(), "ids holds 3 entries, not doc_count 4"),
+            (lambda h: h["texts"].append("x"), "texts holds 5 entries"),
+            (lambda h: h["doc_lengths"].pop(), "doc_lengths holds 3"),
+            (lambda h: h["ends"].__setitem__(0, h["ends"][1] + 1), "ends decrease"),
+            (lambda h: h.pop("avg_doc_length"), "cannot read index file .*'avg_doc_length'"),
+        ],
+        ids=["ids", "texts", "doc_lengths", "ends", "missing field"],
+    )
+    def test_inconsistent_header_refused(self, tmp_path, edit, message):
+        path = tmp_path / "bm25.idx"
+        save_index(build_index(DOCS), path)
+        rewrite_header(path, edit)
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
+
+    @pytest.mark.parametrize("section", ["header", "doc_ids", "tfs"])
+    @pytest.mark.parametrize("ended", [False, True], ids=["cut", "short"])
+    def test_truncated_file_refused(self, tmp_path, section, ended):
+        # "cut": the gzip stream stops before its end marker, as a file cut
+        # short while it was written; "short": a complete gzip stream whose
+        # content stops inside the section.
+        path = tmp_path / "bm25.idx"
+        save_index(build_index(DOCS), path)
+        raw = gzip.decompress(path.read_bytes())
+        kept = raw[: cut_inside(raw, section)]
+        path.write_bytes(gzip.compress(kept) if ended else cut_short(kept))
+        short_column = ended and section != "header"
+        message = f"{section} ends after" if short_column else "cannot read index file"
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "extend, message",
+        [
+            (lambda b: gzip.compress(gzip.decompress(b) + b"\0"), "trailing bytes"),
+            # gzip itself skips zero padding after a stream, so add a non-zero byte.
+            (lambda b: b + b"x", "cannot read index file"),
+        ],
+        ids=["in-stream", "past-stream"],
+    )
+    def test_byte_past_the_end_refused(self, tmp_path, extend, message):
+        path = tmp_path / "bm25.idx"
+        save_index(build_index(DOCS), path)
+        path.write_bytes(extend(path.read_bytes()))
+        with pytest.raises(IndexFormatError, match=message):
             load_index(path)
 
 
