@@ -9,6 +9,7 @@ environment variable, never from a file or flag.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import fields, replace
@@ -21,7 +22,6 @@ from .pipeline import (
     RERANK_METHODS,
     RunConfig,
     RunResult,
-    read_summary_csv,
     run_dataset,
     run_points,
     write_csv,
@@ -141,7 +141,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Every point's config is built, and so checked, before any point runs.
     configs = [_point_config(base, i, assignment) for i, assignment in enumerate(points)]
     sweep_dir = Path(base.out_dir)
-    sweep_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     exit_code = 0
@@ -233,11 +232,20 @@ def correlation_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
+_REPORT_COLUMNS = ("method", "topm", "f1", "tk")
+
+
 def _report_rows(path: str) -> list[dict]:
-    """The rows of a summary or sweep CSV. A run's ``summary.csv`` has no
-    ``k`` or ``mt`` column; they come from the ``config.json`` beside it,
-    when there is one, so a run and its equal sweep point are one point."""
-    rows = read_summary_csv(path)
+    """The rows of a summary or sweep CSV, whose header must hold the
+    columns the report reads. A run's ``summary.csv`` has no ``k`` or ``mt``
+    column; they come from the ``config.json`` beside it, when there is one,
+    so a run and its equal sweep point are one point."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in _REPORT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: not a summary or sweep table, missing columns {missing}")
+        rows = list(reader)
     config_path = Path(path).parent / "config.json"
     if config_path.is_file():
         config = json.loads(config_path.read_text(encoding="utf-8"))

@@ -195,7 +195,15 @@ def load_dataset(path: str | Path) -> list[Query]:
     """Load queries from a JSON-Lines dataset of
     {"id", "question", "golden_answers"} objects."""
     queries: list[Query] = []
+    first_line: dict[str, int] = {}
     for lineno, obj in _read_jsonl(path):
+        qid = str(obj["id"])
+        if qid in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate query id {qid!r} "
+                f"(first on line {first_line[qid]})"
+            )
+        first_line[qid] = lineno
         question = obj.get("question")
         answers = obj.get("golden_answers", [])
         if not _nonempty_str(question):
@@ -207,7 +215,5 @@ def load_dataset(path: str | Path) -> list[Query]:
                 f"{path}:{lineno}: field 'golden_answers' must be a list of "
                 "non-empty strings"
             )
-        queries.append(
-            Query(id=str(obj["id"]), question=question, gold_answers=tuple(answers))
-        )
+        queries.append(Query(id=qid, question=question, gold_answers=tuple(answers)))
     return queries

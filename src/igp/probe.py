@@ -80,7 +80,6 @@ class StepDistribution:
     step_index: int
     entries: tuple[tuple[str, float], ...]
     chosen_token: str
-    is_eos: bool = False
     # The entries' exp and z·e terms, filled by ``uncertainty``; outside
     # equality, hashing and repr, and empty again after ``replace``.
     _nu_terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
@@ -110,15 +109,13 @@ class StepDistribution:
 class Rollout:
     """A full greedy probing trajectory.
 
-    ``terminated_by`` is "eos" when the final step produced the
-    end-of-generation signal and "max_tokens" when the length cap fired.
-    ``eos_signal`` records which mechanism signalled the stop
-    ("step_flag", "table_end", or "finish_reason").
+    ``terminated_by`` is the one record of how it ended: "eos" when
+    generation stopped at the final step, which is kept, and "max_tokens"
+    when the length cap cut it.
     """
 
     steps: tuple[StepDistribution, ...]
     terminated_by: str
-    eos_signal: Optional[str] = None
     # NU per (k, mt), filled by ``uncertainty.sequence_nu``; outside equality,
     # hashing and repr, and empty again after ``replace``.
     _nu_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -128,13 +125,9 @@ class Rollout:
             raise ValueError("rollout must have at least one step")
         if self.terminated_by not in ("eos", "max_tokens"):
             raise ValueError(f"bad terminated_by: {self.terminated_by!r}")
-        if (self.terminated_by == "eos") != self.steps[-1].is_eos:
-            raise ValueError("terminated_by=eos must match the final step's is_eos")
         for pos, step in enumerate(self.steps, 1):
             if step.step_index != pos:
                 raise ValueError("step indices must be contiguous from 1")
-            if step.is_eos and pos != len(self.steps):
-                raise ValueError("only the final step may carry is_eos")
 
     @property
     def effective_length(self) -> int:
@@ -174,14 +167,6 @@ def _only(results: list[T | Exception]) -> T:
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def _ended(steps: list[StepDistribution], eos_signal: Optional[str]) -> Rollout:
-    """The rollout of ``steps``: cut by the length cap when ``eos_signal`` is
-    None, else ended by generation at its last step, which is marked."""
-    if eos_signal is not None and not steps[-1].is_eos:
-        steps = [*steps[:-1], replace(steps[-1], is_eos=True)]
-    return Rollout(tuple(steps), "max_tokens" if eos_signal is None else "eos", eos_signal)
 
 
 class ProbeBackend:
@@ -240,9 +225,11 @@ class StubBackend(ProbeBackend):
           }
         }
 
-    Rollouts replay the scripted steps, stopping at the first step flagged
-    ``eos`` or at ``max_tokens``. A table that runs out before the cap is
-    treated as ending generation at its last step.
+    Rollouts replay the scripted steps and end as "eos" at the first step
+    flagged ``eos``, or at the table's last step when it runs out before
+    ``max_tokens``; otherwise the cap cuts them as "max_tokens". Without a
+    ``text``, generated text joins the rollout's chosen tokens, leaving out
+    the token of a step flagged ``eos``.
     """
 
     def __init__(self, table: dict):
@@ -272,12 +259,12 @@ class StubBackend(ProbeBackend):
         steps: list[StepDistribution] = []
         for idx, raw in enumerate(raw_steps[: cfg.max_tokens], 1):
             entries = _sorted_entries(raw["top_logprobs"], cfg.top_k)
-            eos = bool(raw.get("eos", False))
-            steps.append(StepDistribution(idx, entries, entries[0][0], is_eos=eos))
-            if eos:
-                return _ended(steps, "step_flag")
+            steps.append(StepDistribution(idx, entries, entries[0][0]))
+            if raw.get("eos"):
+                return Rollout(tuple(steps), "eos")
         # A table that runs out before the cap ended generation there.
-        return _ended(steps, "table_end" if len(raw_steps) < cfg.max_tokens else None)
+        ended = len(raw_steps) < cfg.max_tokens
+        return Rollout(tuple(steps), "eos" if ended else "max_tokens")
 
     def force_score(self, prompt: str, continuation: str, cfg: ProbeConfig) -> list[float]:
         if not continuation:
@@ -306,12 +293,11 @@ class StubBackend(ProbeBackend):
         entry = self._entry(prompt)
         if "text" in entry:
             return str(entry["text"]).strip()
-        rollout = self.greedy_rollout(prompt, ProbeConfig(max_tokens=max_tokens))
-        tokens = [
-            s.chosen_token
-            for s in rollout.steps
-            if not (s.is_eos and rollout.eos_signal == "step_flag")
-        ]
+        tokens = self.greedy_rollout(prompt, ProbeConfig(max_tokens=max_tokens)).chosen_tokens
+        # The rollout stops at the first flagged step, so only its last
+        # step can be one, and that step's token is the end marker.
+        if entry["steps"][len(tokens) - 1].get("eos"):
+            tokens = tokens[:-1]
         return " ".join(tokens).strip()
 
 
@@ -503,8 +489,8 @@ class HttpBackend(ProbeBackend):
             steps.append(StepDistribution(idx, entries, str(tok)))
         # Any finish reason but the length cap is the service's
         # end-of-generation signal.
-        finish = choice.get("finish_reason")
-        return _ended(steps, None if finish == "length" else "finish_reason")
+        cut = choice.get("finish_reason") == "length"
+        return Rollout(tuple(steps), "max_tokens" if cut else "eos")
 
     def force_score(self, prompt: str, continuation: str, cfg: ProbeConfig) -> list[float]:
         return _only(self.force_scores([prompt], continuation, cfg))

@@ -50,7 +50,6 @@ class RankedEntry:
     score_kind: str
     admitted: bool
     retriever_rank: int
-    retriever_score: float
     ig: Optional[IgScore] = None
     error: Optional[str] = None
 
@@ -93,7 +92,7 @@ def _score_candidates(
     becomes a rejected entry carrying the error.
     """
     entries = []
-    for i, ((passage, retriever_score), result) in enumerate(
+    for i, ((passage, _), result) in enumerate(
         zip(candidates.candidates, results, strict=True)
     ):
         try:
@@ -111,7 +110,6 @@ def _score_candidates(
                 score_kind=score_kind,
                 admitted=admitted,
                 retriever_rank=i,
-                retriever_score=retriever_score,
                 ig=ig,
                 error=error,
             )

@@ -40,14 +40,9 @@ def steps_from_profile(profile: str, eos_last: bool = False) -> list[dict]:
     return steps
 
 
-def make_step(logprobs: dict[str, float], index: int = 1, is_eos: bool = False) -> StepDistribution:
+def make_step(logprobs: dict[str, float], index: int = 1) -> StepDistribution:
     entries = tuple(sorted(logprobs.items(), key=lambda kv: (-kv[1], kv[0])))
-    return StepDistribution(
-        step_index=index,
-        entries=entries,
-        chosen_token=entries[0][0],
-        is_eos=is_eos,
-    )
+    return StepDistribution(step_index=index, entries=entries, chosen_token=entries[0][0])
 
 
 def cut_inside(raw: bytes, section: str) -> int:

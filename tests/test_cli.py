@@ -518,6 +518,27 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [("run",), ("sweep", "--param", "tp", "--values", "0,0.05")],
+        ids=["run", "sweep"],
+    )
+    def test_duplicate_query_id_rejected_before_any_directory(
+        self, miniworld, world_args, tmp_path, capsys, command
+    ):
+        lines = Path(miniworld.dataset_path).read_text(encoding="utf-8").splitlines()
+        dataset = tmp_path / "dup.jsonl"
+        dataset.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+        args = list(world_args)
+        args[args.index("--dataset") + 1] = dataset
+        out = tmp_path / "r"
+        assert run_cli(*command, *args, "--rerank", "igp", "--out", out) == 2
+        qid = json.loads(lines[0])["id"]
+        assert capsys.readouterr().err == (
+            f"error: {dataset}:{len(lines) + 1}: duplicate query id {qid!r} (first on line 1)\n"
+        )
+        assert not out.exists()
+
 
 class TestReport:
     def rows(self):
@@ -600,6 +621,19 @@ class TestReport:
         with open(out / "correlation.csv") as fh:
             corr = list(csv.DictReader(fh))
         assert float(corr[0]["spearman_ndcg_f1"]) == pytest.approx(-1.0)
+
+    def test_non_summary_csv_rejected_before_the_report_directory(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        write_summary_csv(summary, self.rows())
+        corr = tmp_path / "correlation.csv"
+        corr.write_text("topm,spearman_ndcg_f1,n_methods\n1,-1.0,3\n", encoding="utf-8")
+        out = tmp_path / "report"
+        assert run_cli("report", summary, corr, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {corr}: not a summary or sweep table, "
+            "missing columns ['method', 'f1', 'tk']\n"
+        )
+        assert not out.exists()
 
     def test_report_names_each_sweep_row(self, tmp_path, capsys):
         # Three tp points of one sweep, equal on every other column, and a

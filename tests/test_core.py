@@ -143,6 +143,7 @@ class TestLoaders:
             (load_dataset, query, answers % '"Paris"', "'golden_answers'"),
             (load_dataset, query, answers % '["Paris", 3]', "'golden_answers'"),
             (load_dataset, query, answers % '["Paris", ""]', "'golden_answers'"),
+            (load_dataset, query, query, r"duplicate query id 'q1' \(first on line 1\)"),
         ]
         for load, good, bad, field in cases:
             path.write_text(f"{good}\n{bad}\n", encoding="utf-8")

@@ -20,7 +20,6 @@ from igp.probe import (
     MissingLogprobsError,
     ProbeConfig,
     ProbeError,
-    Rollout,
     StepDistribution,
     StubBackend,
     TransportError,
@@ -167,7 +166,6 @@ class TestStubRollout:
         rollout = backend.greedy_rollout("p", CFG)
         assert rollout.effective_length == 2
         assert rollout.terminated_by == "eos"
-        assert rollout.eos_signal == "step_flag"
 
     def test_max_tokens_cap(self):
         backend = stub({"p": {"steps": steps_from_profile("uuuuuu")}})
@@ -180,28 +178,28 @@ class TestStubRollout:
         rollout = backend.greedy_rollout("p", CFG)
         assert rollout.effective_length == 3
         assert rollout.terminated_by == "eos"
-        assert rollout.eos_signal == "table_end"
 
+    # ``stopped_by`` names what in the table ended generation: the flag of
+    # the last kept step, or nothing, when the cap cut the rollout.
     @pytest.mark.parametrize(
-        "eos_at, terminated_by, eos_signal, length",
+        "eos_at, terminated_by, stopped_by, length",
         [
             (None, "max_tokens", None, 3),  # table exactly as long as the cap
             (3, "eos", "step_flag", 3),  # eos flag on the cap step
             (4, "max_tokens", None, 3),  # eos flag past the cap is never read
         ],
     )
-    def test_ending_at_the_cap(self, eos_at, terminated_by, eos_signal, length):
+    def test_ending_at_the_cap(self, eos_at, terminated_by, stopped_by, length):
         steps = steps_from_profile("u" * (eos_at or 3))
         if eos_at:
             steps[-1]["eos"] = True
         backend = stub({"p": {"steps": steps}})
         rollout = backend.greedy_rollout("p", ProbeConfig(top_k=4, max_tokens=3))
         assert rollout.terminated_by == terminated_by
-        assert rollout.eos_signal == eos_signal
         assert rollout.effective_length == length
-        assert [s.is_eos for s in rollout.steps] == [False] * (length - 1) + [
-            terminated_by == "eos"
-        ]
+        # Generated text leaves out the flagged step's token only.
+        text = backend.complete_text("p", 3)
+        assert len(text.split()) == length - (stopped_by == "step_flag")
 
     def test_steps_match_table(self):
         table = {
@@ -289,17 +287,22 @@ class TestStubFirstStepAndText:
         backend = stub({"p": {"steps": steps_from_profile("u"), "text": " Paris "}})
         assert backend.complete_text("p", 8) == "Paris"
 
-    def test_complete_text_joins_chosen_tokens(self):
-        table = {
-            "p": {
-                "steps": [
-                    {"top_logprobs": {"blue": -0.1}},
-                    {"top_logprobs": {"whale": -0.1}},
-                    {"top_logprobs": {"</s>": -0.1}, "eos": True},
-                ]
-            }
-        }
-        assert stub(table).complete_text("p", 8) == "blue whale"
+    @pytest.mark.parametrize(
+        "eos_last, max_tokens, text",
+        [
+            (True, 8, "blue whale"),  # a flagged last step's token is dropped
+            (False, 8, "blue whale </s>"),  # a table end without a flag keeps it
+            (True, 2, "blue whale"),  # the cap stops before the flagged step
+        ],
+        ids=["flagged", "table-end", "cap"],
+    )
+    def test_complete_text_joins_chosen_tokens(self, eos_last, max_tokens, text):
+        steps = [
+            {"top_logprobs": {"blue": -0.1}},
+            {"top_logprobs": {"whale": -0.1}},
+            {"top_logprobs": {"</s>": -0.1}, "eos": eos_last},
+        ]
+        assert stub({"p": {"steps": steps}}).complete_text("p", max_tokens) == text
 
 
 class FakeTransport:
@@ -356,15 +359,18 @@ class TestHttpBackend:
         assert payload["max_tokens"] == 7
         assert payload["logprobs"] == 5
 
-    def test_stop_finish_marks_eos(self):
+    @pytest.mark.parametrize("finish_reason", ["stop", None])
+    def test_stop_finish_marks_eos(self, finish_reason):
         body = completion_body(
-            ["a", "b"], [-0.1, -0.2], [{"a": -0.1}, {"b": -0.2, "c": -1.0}]
+            ["a", "b"],
+            [-0.1, -0.2],
+            [{"a": -0.1}, {"b": -0.2, "c": -1.0}],
+            finish_reason=finish_reason,
         )
         backend, _ = http_backend([(200, body)])
         rollout = backend.greedy_rollout("p", CFG)
         assert rollout.terminated_by == "eos"
-        assert rollout.eos_signal == "finish_reason"
-        assert rollout.steps[-1].is_eos
+        assert rollout.effective_length == 2
 
     def test_length_finish_is_max_tokens(self):
         body = completion_body(["a"], [-0.1], [{"a": -0.1}], finish_reason="length")
@@ -824,12 +830,4 @@ class TestRolloutInvariants:
         backend = stub({"p": {"steps": steps_from_profile("u" * table_len)}})
         rollout = backend.greedy_rollout("p", ProbeConfig(top_k=4, max_tokens=max_tokens))
         assert 1 <= rollout.effective_length <= max_tokens
-        assert (rollout.terminated_by == "eos") == rollout.steps[-1].is_eos
-
-    def test_mid_rollout_eos_rejected(self):
-        steps = (
-            StepDistribution(1, (("a", -0.1),), "a", is_eos=True),
-            StepDistribution(2, (("b", -0.1),), "b"),
-        )
-        with pytest.raises(ValueError):
-            Rollout(steps, "max_tokens")
+        assert (rollout.terminated_by == "eos") == (table_len < max_tokens)

@@ -128,7 +128,6 @@ class TestTruncate:
             score_kind="ig",
             admitted=admitted,
             retriever_rank=rank,
-            retriever_score=1.0,
         )
 
     def test_top_m_prefix(self):
@@ -168,7 +167,6 @@ class TestTruncate:
                 score_kind="yesno",
                 admitted=e.admitted,
                 retriever_rank=e.retriever_rank,
-                retriever_score=e.retriever_score,
             )
             for e in base
         )

@@ -40,10 +40,7 @@ def entropy_oracle(logprobs):
 
 
 def rollout_from_profiles(step_dicts, eos_last=True):
-    steps = [
-        make_step(d, index=i, is_eos=eos_last and i == len(step_dicts))
-        for i, d in enumerate(step_dicts, 1)
-    ]
+    steps = [make_step(d, index=i) for i, d in enumerate(step_dicts, 1)]
     return Rollout(tuple(steps), "eos" if eos_last else "max_tokens")
 
 
@@ -249,7 +246,7 @@ class TestNuMemo:
         assert a._nu_memo and not b._nu_memo
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b) and "memo" not in repr(a)
-        fresh = replace(a, eos_signal="step_flag")
+        fresh = replace(a, terminated_by="max_tokens")
         assert fresh._nu_memo == {}
         assert fresh._nu_memo is not a._nu_memo
 
@@ -358,7 +355,7 @@ class TestSharedStepTerms:
         assert a._nu_terms is not None and b._nu_terms is None
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b) and "terms" not in repr(a)
-        assert replace(a, is_eos=True)._nu_terms is None
+        assert replace(a, step_index=2)._nu_terms is None
 
 
 class TestInformationGain:
