@@ -260,8 +260,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path in args.summaries:
         rows.extend(_report_rows(path))
     if not rows:
-        print("error: no summary rows found", file=sys.stderr)
-        return 1
+        raise ValueError("no summary rows found")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

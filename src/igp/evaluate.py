@@ -205,8 +205,10 @@ QrelSet = dict[str, dict[str, int]]
 
 def load_qrels(path: str | Path) -> QrelSet:
     """Load a TSV of ``query-id<TAB>passage-id<TAB>relevance`` rows; a
-    leading header row is skipped when its relevance column is not numeric."""
+    leading header row is skipped when its relevance column is not numeric.
+    A pair judged twice is refused."""
     qrels: QrelSet = {}
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -224,5 +226,11 @@ def load_qrels(path: str | Path) -> QrelSet:
                 raise ValueError(f"{path}:{lineno}: relevance is not an integer")
             if rel < 0:
                 raise ValueError(f"{path}:{lineno}: relevance must be >= 0")
+            if (qid, pid) in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate judgment for {qid}/{pid} "
+                    f"(first on line {first_line[qid, pid]})"
+                )
+            first_line[qid, pid] = lineno
             qrels.setdefault(qid, {})[pid] = rel
     return qrels

@@ -22,6 +22,7 @@ from itertools import pairwise
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
+from urllib.parse import urlsplit, urlunsplit
 
 
 class ProbeError(Exception):
@@ -307,17 +308,35 @@ _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 Transport = Callable[[str, dict], tuple[int, dict]]
 
 
+class _HeldConnection:
+    """One thread's connection, closed when this holder is freed: when the
+    thread ends, or with the backend that keeps it."""
+
+    def __init__(self, conn):
+        self.conn = conn
+
+    def __del__(self):
+        self.conn.close()
+
+
 class HttpBackend(ProbeBackend):
     """Client for an OpenAI-compatible completions endpoint.
 
     Requests carry temperature 0, the rollout cap as ``max_tokens``, and
     ``logprobs`` set to the Top-K width. The API key is read from the
-    environment by the caller and passed in; ``base_url`` should include any
-    ``/v1`` prefix the service expects.
+    environment by the caller and passed in. ``base_url`` is ``http://`` or
+    ``https://`` with a host and should include any ``/v1`` prefix the
+    service expects. Each request goes to its path plus ``/completions``,
+    followed by any query string it has.
 
     Transport failures are retried with exponential backoff up to
     ``max_retries`` times; malformed payloads are never retried. The default
-    transport keeps one keep-alive ``requests.Session`` per thread.
+    transport is stdlib ``http.client`` with one keep-alive connection per
+    thread, TLS verified against the system trust store. It reads no proxy
+    settings, ``~/.netrc`` or credentials in the URL and follows no
+    redirects; pass ``transport`` for those. A call that finds its reused
+    connection dropped by the server is sent once more at once on a fresh
+    one.
     """
 
     def __init__(
@@ -333,7 +352,21 @@ class HttpBackend(ProbeBackend):
     ):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        parts = urlsplit(base_url)
+        try:
+            port = parts.port
+        except ValueError as exc:
+            raise ValueError(f"endpoint URL {base_url!r}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(
+                f"endpoint URL {base_url!r} needs an http:// or https:// scheme and a host"
+            )
         self.base_url = base_url.rstrip("/")
+        self._https = parts.scheme == "https"
+        self._address = (parts.hostname, port or (443 if self._https else 80))
+        path = parts.path.rstrip("/") + "/completions"
+        self._target = f"{path}?{parts.query}" if parts.query else path
+        self._url = urlunsplit((parts.scheme, parts.netloc, path, parts.query, ""))
         self.model = model
         self._api_key = api_key
         self._timeout = timeout
@@ -341,36 +374,65 @@ class HttpBackend(ProbeBackend):
         self._backoff = backoff
         self._transport = transport or self._default_transport
         self._sleep = sleep
-        self._local = threading.local()  # a Session is not thread-safe
+        self._local = threading.local()  # holds this thread's connection
+
+    def _connection(self):
+        """A new, not yet opened connection to the endpoint's host."""
+        import http.client
+
+        if not self._https:
+            return http.client.HTTPConnection(*self._address, timeout=self._timeout)
+        import ssl
+
+        return http.client.HTTPSConnection(
+            *self._address, timeout=self._timeout, context=ssl.create_default_context()
+        )
 
     def _default_transport(self, url: str, payload: dict) -> tuple[int, dict]:
-        import requests
+        """POSTs ``payload`` over this thread's connection; ``url`` is
+        ``self._url``, which ``__init__`` split into host and target."""
+        import http.client
 
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
+        held = getattr(self._local, "held", None)
+        if held is None:
+            held = self._local.held = _HeldConnection(self._connection())
+        conn = held.conn
+        body = json.dumps(payload, allow_nan=False).encode()
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
+
+        def send() -> http.client.HTTPResponse:
+            conn.request("POST", self._target, body, headers)
+            return conn.getresponse()
+
         try:
-            resp = session.post(url, json=payload, headers=headers, timeout=self._timeout)
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
+            reused = conn.sock is not None
+            try:
+                resp = send()
+            except (BrokenPipeError, ConnectionResetError):
+                # The server closed a kept-alive connection before answering.
+                if not reused:
+                    raise
+                conn.close()
+                resp = send()
+            status, data = resp.status, resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
         try:
-            body = resp.json()
+            return status, json.loads(data)
         except ValueError:
-            body = {}
-        return resp.status_code, body
+            return status, {}
 
     def _request(self, payload: dict) -> dict:
-        url = f"{self.base_url}/completions"
         delay = self._backoff
         for attempt in range(self._max_retries + 1):
             if attempt:
                 self._sleep(delay)
                 delay *= 2
             try:
-                status, body = self._transport(url, payload)
+                status, body = self._transport(self._url, payload)
             except TransportError as exc:
                 error = exc
                 continue

@@ -539,6 +539,25 @@ class TestSweepCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [("run",), ("sweep", "--param", "tp", "--values", "0,0.05")],
+        ids=["run", "sweep"],
+    )
+    def test_bad_endpoint_url_rejected_before_any_directory(
+        self, world_args, tmp_path, capsys, command
+    ):
+        args = list(world_args)
+        at = args.index("--stub")
+        args[at : at + 2] = ["--endpoint", "localhost:8000/v1", "--model", "m"]
+        out = tmp_path / "r"
+        assert run_cli(*command, *args, "--rerank", "igp", "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: endpoint URL 'localhost:8000/v1' needs an http:// or https:// "
+            "scheme and a host\n"
+        )
+        assert not out.exists()
+
 
 class TestReport:
     def rows(self):
@@ -633,6 +652,18 @@ class TestReport:
             f"error: {corr}: not a summary or sweep table, "
             "missing columns ['method', 'f1', 'tk']\n"
         )
+        assert not out.exists()
+
+    def test_header_only_summaries_rejected_before_the_report_directory(
+        self, tmp_path, capsys
+    ):
+        summary = tmp_path / "summary.csv"
+        write_summary_csv(summary, self.rows())
+        header = tmp_path / "header.csv"
+        header.write_text(summary.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        out = tmp_path / "report"
+        assert run_cli("report", header, header, "--out", out) == 2
+        assert capsys.readouterr().err == "error: no summary rows found\n"
         assert not out.exists()
 
     def test_report_names_each_sweep_row(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ permutation sweep.
 
 import itertools
 import math
+import re
 
 import pytest
 import scipy.stats
@@ -250,4 +251,11 @@ class TestQrels:
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\tp1\t-1\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_qrels(path)
+
+    def test_repeated_judgment_rejected(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        path.write_text("q0\tp1\t1\nq0\tp2\t0\nq0\tp1\t3\n", encoding="utf-8")
+        message = f"{path}:3: duplicate judgment for q0/p1 (first on line 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_qrels(path)

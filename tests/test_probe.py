@@ -1,11 +1,15 @@
 """Stub and HTTP backend behavior: rollout termination, tie-breaking,
 forced-continuation scoring, retries, and error classification."""
 
+import gc
 import json
 import math
 import random
+import re
 import socket
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -477,7 +481,9 @@ class TestHttpBackend:
 
 class _Completions(BaseHTTPRequestHandler):
     """Answers every POST with the server's ``reply`` bytes as a 200,
-    recording the path, client port, Authorization header and payload."""
+    recording the path, client port, Authorization header and payload. With
+    the server's ``drop`` set it closes the connection after each reply
+    without saying so; with ``hang`` set it never replies."""
 
     protocol_version = "HTTP/1.1"  # keep-alive, as a real endpoint
 
@@ -489,11 +495,16 @@ class _Completions(BaseHTTPRequestHandler):
             "auth": self.headers.get("Authorization"),
             "payload": payload,
         })
+        if self.server.hang:
+            self.rfile.read(1)  # returns once the client hangs up
+            self.close_connection = True
+            return
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(self.server.reply)))
         self.end_headers()
         self.wfile.write(self.server.reply)
+        self.close_connection = self.server.drop
 
     def log_message(self, *args):
         pass
@@ -504,6 +515,7 @@ def endpoint():
     """A loopback completions server whose address is ``url``."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Completions)
     server.seen = []
+    server.drop = server.hang = False
     server.reply = json.dumps({"choices": [{"index": 0, "text": " Paris"}]}).encode()
     host, port = server.server_address
     server.url = f"http://{host}:{port}/v1"
@@ -517,12 +529,12 @@ def endpoint():
 
 
 class TestDefaultTransport:
-    """``HttpBackend`` over its own ``requests`` transport, not an injected one."""
+    """``HttpBackend`` over its own ``http.client`` transport, not an injected one."""
 
     @staticmethod
     def calls(backend, *prompts):
         """``complete_text`` of each prompt on this thread, then close the
-        thread's session; a call's exception is returned in its slot."""
+        thread's connection; a call's exception is returned in its slot."""
         try:
             out = []
             for prompt in prompts:
@@ -532,7 +544,7 @@ class TestDefaultTransport:
                     out.append(exc)
             return out
         finally:
-            backend._local.session.close()
+            backend._local.held.conn.close()
 
     def test_calls_from_one_thread_reuse_one_connection(self, endpoint):
         backend = HttpBackend(endpoint.url, "m")
@@ -564,6 +576,76 @@ class TestDefaultTransport:
         (error,) = self.calls(backend, "p")
         assert isinstance(error, TransportError)
         assert sleeps == [0.25, 0.5]
+
+    def test_runs_without_requests(self, endpoint, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)  # import requests fails
+        assert self.calls(HttpBackend(endpoint.url, "m"), "p") == ["Paris"]
+
+    def test_dropped_connection_resent_at_once_on_a_fresh_one(self, endpoint):
+        endpoint.drop = True
+        backend = HttpBackend(endpoint.url, "m", sleep=pytest.fail)
+        assert self.calls(backend, "p", "q", "r") == ["Paris"] * 3
+        assert [r["payload"]["prompt"] for r in endpoint.seen] == ["p", "q", "r"]
+
+    def test_path_prefix_and_query_string_kept(self, endpoint):
+        base = endpoint.url.replace("/v1", "/proxy/v1/?api-version=2")
+        self.calls(HttpBackend(base, "m"), "p")
+        assert [r["path"] for r in endpoint.seen] == ["/proxy/v1/completions?api-version=2"]
+
+    def test_read_timeout_is_a_transport_error_after_the_retries(self, endpoint):
+        endpoint.hang = True
+        sleeps = []
+        backend = HttpBackend(
+            endpoint.url, "m", timeout=0.05, max_retries=1, sleep=sleeps.append
+        )
+        (error,) = self.calls(backend, "p")
+        assert isinstance(error, TransportError)
+        assert "TimeoutError" in str(error)
+        assert sleeps == [0.5]
+        assert len(endpoint.seen) == 2
+
+    def test_two_threads_use_two_connections(self, endpoint):
+        backend = HttpBackend(endpoint.url, "m")
+        both = threading.Barrier(2, timeout=5)
+
+        def worker(prompt):
+            try:
+                first = backend.complete_text(prompt, 4)
+                both.wait()  # both threads hold an open connection here
+                return [first, backend.complete_text(prompt, 4)]
+            finally:
+                backend._local.held.conn.close()
+
+        with ThreadPoolExecutor(2) as pool:
+            assert list(pool.map(worker, ["p", "q"])) == [["Paris", "Paris"]] * 2
+        by_port = {}
+        for r in endpoint.seen:
+            by_port.setdefault(r["port"], []).append(r["payload"]["prompt"])
+        assert sorted(by_port.values()) == [["p", "p"], ["q", "q"]]
+
+    def test_connection_closed_when_its_thread_ends_or_its_backend_goes(self, endpoint):
+        backend = HttpBackend(endpoint.url, "m")
+
+        def worker():
+            backend.complete_text("p", 4)
+            return backend._local.held.conn
+
+        with ThreadPoolExecutor(1) as pool:
+            worker_conn = pool.submit(worker).result()
+        assert worker_conn.sock is None  # the pool's shutdown joined the thread
+        backend.complete_text("q", 4)
+        conn = backend._local.held.conn
+        assert conn.sock is not None
+        del backend
+        gc.collect()
+        assert conn.sock is None
+
+    @pytest.mark.parametrize(
+        "url", ["localhost:8000/v1", "ftp://host/v1", "http:///v1", "http://host:port/v1"]
+    )
+    def test_bad_base_url_rejected(self, url):
+        with pytest.raises(ValueError, match=re.escape(repr(url))):
+            HttpBackend(url, "m")
 
 
 def choice(index, tokens, finish_reason="stop"):
