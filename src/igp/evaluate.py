@@ -72,13 +72,13 @@ def is_closed_set_yes_no(refs: Sequence[str]) -> bool:
 @dataclass(frozen=True)
 class SampleResult:
     query_id: str
-    prediction: str
-    f1: float
+    prediction: Optional[str]  # None when run without generation
+    f1: Optional[float]  # None without gold answers or a prediction
     input_tokens: int
     ndcg: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.f1 <= 1.0:
+        if self.f1 is not None and not 0.0 <= self.f1 <= 1.0:
             raise ValueError(f"f1 out of range: {self.f1}")
         if self.input_tokens < 0:
             raise ValueError("input_tokens must be >= 0")
@@ -89,19 +89,21 @@ class SampleResult:
 @dataclass(frozen=True)
 class DatasetSummary:
     n_samples: int
-    f1_mean: float
+    f1_mean: Optional[float]
     tk_mean: float
     nte: Optional[float] = None
+    ndcg_mean: Optional[float] = None
 
 
 def normalized_token_efficiency(
-    f1: float, tk: float, base_f1: float, base_tk: float
+    f1: Optional[float], tk: float, base_f1: Optional[float], base_tk: float
 ) -> float:
     """Quality per token relative to a baseline: (f1/tk) / (base_f1/base_tk).
-    Undefined, and an error, when a token mean or the baseline F1 is zero."""
-    if tk == 0 or base_tk == 0 or base_f1 == 0:
+    Undefined, and an error, when an F1 is None or a token mean or the
+    baseline F1 is zero."""
+    if f1 is None or not base_f1 or tk == 0 or base_tk == 0:
         raise ValueError(
-            "NTE undefined: requires nonzero token means and nonzero baseline F1"
+            "NTE undefined: requires F1 means, nonzero token means and nonzero baseline F1"
         )
     return (f1 / tk) / (base_f1 / base_tk)
 
@@ -117,21 +119,20 @@ def dataset_summary(
     results: Sequence[SampleResult],
     baseline: Optional[DatasetSummary] = None,
 ) -> DatasetSummary:
-    """Arithmetic means over exactly the given samples; with a baseline,
+    """Arithmetic means: F1 and NDCG over the samples that have one (None
+    when none has), input tokens over every sample. With a baseline,
     normalized token efficiency (quality-per-token relative to the baseline)
     is attached. The baseline scored against itself yields NTE = 1 exactly.
     """
     if not results:
         raise ValueError("results must be non-empty")
-    n = len(results)
-    f1_mean = mean([r.f1 for r in results])
+    f1_mean = mean([r.f1 for r in results if r.f1 is not None])
     tk_mean = mean([r.input_tokens for r in results])
     nte: Optional[float] = None
     if baseline is not None:
-        nte = normalized_token_efficiency(
-            f1_mean, tk_mean, baseline.f1_mean, baseline.tk_mean
-        )
-    return DatasetSummary(n_samples=n, f1_mean=f1_mean, tk_mean=tk_mean, nte=nte)
+        nte = normalized_token_efficiency(f1_mean, tk_mean, baseline.f1_mean, baseline.tk_mean)
+    ndcg_mean = mean([r.ndcg for r in results if r.ndcg is not None])
+    return DatasetSummary(len(results), f1_mean, tk_mean, nte, ndcg_mean)
 
 
 def _dcg(rels: Sequence[int]) -> float:

@@ -22,18 +22,17 @@ from typing import Optional, Sequence
 from .core import (
     CandidateSet,
     EvidenceBudget,
-    Passage,
     Query,
-    load_corpus,
     load_dataset,
     render_answer_prompt,
 )
 from .evaluate import (
     QrelSet,
+    SampleResult,
+    dataset_summary,
     f1_best_of_refs,
     is_closed_set_yes_no,
     load_qrels,
-    mean,
     ndcg_at_k,
 )
 from .probe import (
@@ -60,6 +59,11 @@ API_KEY_ENV = "IGP_API_KEY"
 RERANK_METHODS = ("none", "ig", "igp", "qlm", "yesno")
 
 SUMMARY_COLUMNS = ("method", "topm", "tp", "f1", "tk", "nte", "ndcg", "n")
+
+
+_INT_SETTINGS = (
+    "top_m", "token_guard", "top_n", "top_k", "max_tokens", "answer_max_tokens", "parallelism"
+)
 
 
 def _is_number(value: object) -> bool:
@@ -106,13 +110,20 @@ class RunConfig:
             raise ValueError(
                 f"failure_ceiling must be a number in [0, 1], not {self.failure_ceiling!r}"
             )
-        try:
-            if self.parallelism < 1:
-                raise ValueError("parallelism must be >= 1")
-            # Build what every query builds, so a bad setting fails here.
-            self.probe_config, self.budget, Bm25Params(top_n=self.top_n)
-        except TypeError as exc:
-            raise ValueError(f"run setting of the wrong type: {exc}") from exc
+        for name in _INT_SETTINGS:
+            value = getattr(self, name)
+            # type(), not isinstance(): a bool is an int too.
+            if type(value) is not int and not (name == "token_guard" and value is None):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name in ("generate", "labeled_only"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+        if self.answer_max_tokens < 1:
+            raise ValueError("answer_max_tokens must be >= 1")
+        # Build what every query builds, so a bad setting fails here.
+        self.probe_config, self.budget, Bm25Params(top_n=self.top_n)
 
     @property
     def probe_config(self) -> ProbeConfig:
@@ -339,19 +350,22 @@ def run_points(
     for i, config in enumerate(configs):
         records = [query_records[i] for query_records in by_query]
         ok = [r for r in records if r.error is None]
-        f1_mean = mean([r.f1 for r in ok if r.f1 is not None])
-        tk_mean = mean([r.input_tokens for r in ok])
-        ndcg_values = [r.ndcg for r in ok if r.ndcg is not None]
         summary = {
             "method": config.rerank,
             "topm": config.top_m,
             "tp": config.tp if config.rerank == "igp" else "",
-            "f1": f1_mean if f1_mean is not None else "",
-            "tk": tk_mean if tk_mean is not None else "",
+            "f1": "",
+            "tk": "",
             "nte": "",
-            "ndcg": mean(ndcg_values) if ndcg_values else "",
+            "ndcg": "",
             "n": len(ok),
         }
+        if ok:
+            means = dataset_summary(
+                [SampleResult(r.query_id, r.prediction, r.f1, r.input_tokens, r.ndcg) for r in ok]
+            )
+            values = {"f1": means.f1_mean, "tk": means.tk_mean, "ndcg": means.ndcg_mean}
+            summary.update((k, v) for k, v in values.items() if v is not None)
         out_dir = Path(config.out_dir)
         with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:
             for record in records:
@@ -379,11 +393,6 @@ def write_summary_csv(path: str | Path, rows: list[dict], extra_columns: tuple =
     write_csv(path, columns, rows)
 
 
-def read_summary_csv(path: str | Path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def load_records(path: str | Path) -> list[dict]:
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -392,7 +401,3 @@ def load_records(path: str | Path) -> list[dict]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-def load_passage_map(corpus_path: str | Path) -> dict[str, Passage]:
-    return {p.id: p for p in load_corpus(corpus_path)}

@@ -37,6 +37,8 @@ _BIG_ENDIAN = sys.byteorder == "big"
 # Fixed, so index files stay byte-deterministic; low, because at level 9
 # compression was most of the time ``igp index`` spent.
 _GZIP_LEVEL = 1
+# Postings per read of a column: 1 MiB of int32.
+_READ_POSTINGS = 1 << 18
 # Relative margin below the n-th best score inside which search re-scores
 # passages exactly: far above the rounding of a sum in another term order.
 _TIE_TOL = 1e-9
@@ -346,14 +348,16 @@ def _check_header(header: object, path: str | Path) -> Analyzer:
 
 
 def _read_column(gz: gzip.GzipFile, count: int, name: str, path: str | Path) -> array:
-    """Read ``count`` little-endian int32 values; refuse a short column."""
+    """Read ``count`` little-endian int32 values; refuse a short column. The
+    reads are bounded, so a forged count fails on the file's real length."""
     column = array("i")
-    data = gz.read(count * column.itemsize)
-    if len(data) != count * column.itemsize:
-        raise IndexFormatError(
-            f"{path}: {name} ends after {len(data) // column.itemsize} of {count} postings"
-        )
-    column.frombytes(data)
+    while len(column) < count:
+        size = min(count - len(column), _READ_POSTINGS) * column.itemsize
+        data = gz.read(size)
+        if len(data) != size:
+            done = len(column) + len(data) // column.itemsize
+            raise IndexFormatError(f"{path}: {name} ends after {done} of {count} postings")
+        column.frombytes(data)
     if _BIG_ENDIAN:
         column.byteswap()
     return column

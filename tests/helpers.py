@@ -1,8 +1,8 @@
 """Shared fixture builders: scripted stub tables with hand-computable
 uncertainty profiles, a small end-to-end world (corpus + dataset + qrels
 + stub) whose gold passages collapse generation uncertainty while the
-retriever prefers longer, term-stuffed distractors, and index files cut
-short inside a chosen section.
+retriever prefers longer, term-stuffed distractors; index files cut short
+inside a chosen section; and readers of a run's summary table and corpus.
 
 Step profiles use single letters: "u" is a uniform step (normalized
 uncertainty exactly 1), "o" a one-hot step (exactly 0), "h" a half step
@@ -11,6 +11,7 @@ uncertainty exactly 1), "o" a one-hot step (exactly 0), "h" a half step
 
 from __future__ import annotations
 
+import csv
 import json
 import zlib
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 from igp.core import (
     Passage,
     Query,
+    load_corpus,
     render_answer_prompt,
     render_probe_prompt,
     render_yesno_prompt,
@@ -61,6 +63,15 @@ def cut_short(data: bytes) -> bytes:
     as a file cut short while it was written."""
     compressor = zlib.compressobj(1, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
     return compressor.compress(data) + compressor.flush(zlib.Z_SYNC_FLUSH)
+
+
+def read_summary_csv(path: str | Path) -> list[dict]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def load_passage_map(corpus_path: str | Path) -> dict[str, Passage]:
+    return {p.id: p for p in load_corpus(corpus_path)}
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> None:

@@ -4,13 +4,17 @@ and the report tables (Pareto dominance, NDCG-F1 correlation)."""
 import csv
 import gzip
 import json
+import os
 import runpy
+import socket
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from helpers import cut_inside, cut_short
+from helpers import cut_inside, cut_short, read_summary_csv
 
 import igp.cli
 import igp.pipeline
@@ -22,7 +26,8 @@ from igp.core import (
     render_probe_prompt,
     render_yesno_prompt,
 )
-from igp.pipeline import RunConfig, load_records, read_summary_csv, write_summary_csv
+from igp.evaluate import SampleResult, dataset_summary
+from igp.pipeline import RunConfig, load_records, write_summary_csv
 from igp.probe import StubBackend
 from igp.retrieve import Bm25Params, load_index, search
 
@@ -220,6 +225,105 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"top_k": 4.5},
+            {"max_tokens": 8.5},
+            {"top_n": 2.5},
+            {"top_m": 2.5},
+            {"token_guard": 100.5},
+            {"parallelism": 2.5},
+            {"answer_max_tokens": "8"},
+            {"top_k": True},
+            {"generate": "false"},
+            {"labeled_only": 1},
+            ("--answer-max-tokens", "-3"),
+            ("--answer-max-tokens", "0"),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [("run",), ("sweep", "--param", "tp", "--values", "0,0.05")],
+        ids=["run", "sweep"],
+    )
+    def test_wrong_typed_or_bad_setting_rejected_before_any_directory(
+        self, world_args, tmp_path, capsys, command, setting
+    ):
+        # The flags that world_args sets move into the file, so that the
+        # file's bad value is not overridden.
+        args, document = list(world_args), {}
+        for flag, name in (("--topk", "top_k"), ("--max-tokens", "max_tokens"), ("--topn", "top_n")):
+            at = args.index(flag)
+            document[name] = int(args[at + 1])
+            del args[at : at + 2]
+        if isinstance(setting, dict):
+            document.update(setting)
+        else:
+            args.extend(setting)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        out = tmp_path / "r"
+        assert run_cli(*command, "--config", path, *args, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "world, flags, failed",
+        [
+            ("world_args", ("--rerank", "igp"), 0),
+            ("world_args", ("--rerank", "none"), 0),
+            ("world_args", ("--rerank", "yesno"), 0),
+            ("world_args", ("--rerank", "igp", "--no-generate"), 0),
+            ("broken_stub_args", ("--rerank", "igp", "--failure-ceiling", "0.5"), 1),
+        ],
+        ids=["igp", "none", "yesno", "no-generate", "one-failed"],
+    )
+    def test_summary_is_the_dataset_summary_of_the_ok_records(
+        self, request, tmp_path, world, flags, failed
+    ):
+        args = request.getfixturevalue(world)
+        out = tmp_path / "r"
+        assert run_cli("run", *args, *flags, "--out", out) == 0
+        records = load_records(out / "records.jsonl")
+        ok = [r for r in records if r["error"] is None]
+        assert len(records) - len(ok) == failed
+        expected = dataset_summary(
+            [
+                SampleResult(r["query_id"], r["prediction"], r["f1"], r["input_tokens"], r["ndcg"])
+                for r in ok
+            ]
+        )
+        (row,) = read_summary_csv(out / "summary.csv")
+        assert int(row["n"]) == expected.n_samples == len(ok)
+        for column, value in (
+            ("f1", expected.f1_mean), ("tk", expected.tk_mean), ("ndcg", expected.ndcg_mean)
+        ):
+            assert (float(row[column]) if row[column] else None) == value
+        assert expected.tk_mean is not None and expected.ndcg_mean is not None
+        assert (expected.f1_mean is None) == ("--no-generate" in args + list(flags))
+
+    def test_point_where_every_query_fails_writes_empty_means(
+        self, miniworld, world_args, tmp_path, capsys
+    ):
+        table = json.loads(miniworld.stub_path.read_text(encoding="utf-8"))
+        table["prompts"] = {}
+        table.pop("default")
+        empty = tmp_path / "empty-stub.json"
+        empty.write_text(json.dumps(table), encoding="utf-8")
+        args = list(world_args)
+        args[args.index("--stub") + 1] = empty
+        out = tmp_path / "r"
+        assert run_cli("run", *args, "--rerank", "igp", "--no-generate", "--out", out) == 1
+        (row,) = read_summary_csv(out / "summary.csv")
+        assert row == {
+            "method": "igp", "topm": "5", "tp": "0.05",
+            "f1": "", "tk": "", "nte": "", "ndcg": "", "n": "0",
+        }
+        assert len(load_records(out / "records.jsonl")) == len(miniworld.queries)
+        assert "summary: method=igp topm=5 tp=0.05 f1= tk= ndcg= n=0\n" in capsys.readouterr().out
+
     def test_minus_infinity_tp_accepted(self, world_args, tmp_path):
         out = tmp_path / "r"
         assert run_cli("run", *world_args, "--rerank", "igp", "--tp=-inf", "--out", out) == 0
@@ -350,6 +454,49 @@ def test_readme_quick_start(tmp_path):
     igp, none = summaries["igp"], summaries["none"]
     assert float(igp["f1"]) > float(none["f1"])
     assert float(igp["tk"]) < float(none["tk"])
+
+
+def run_walkthrough(igp_command, out):
+    """``scripts/walkthrough.sh`` with this interpreter first on PATH and the
+    package under test importable; returns the exit code and the output.
+    The output goes to a file, not a pipe, so an endpoint left running
+    cannot hold the call open."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(igp.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PATH"] = os.pathsep.join([str(Path(sys.executable).parent), env.get("PATH", "")])
+    log = out.parent / "walkthrough.log"
+    with open(log, "w", encoding="utf-8") as fh:
+        code = subprocess.call(
+            ["sh", str(root / "scripts" / "walkthrough.sh"), igp_command, str(out)],
+            env=env, stdout=fh, stderr=subprocess.STDOUT, timeout=300,
+        )
+    return code, log.read_text(encoding="utf-8")
+
+
+def test_walkthrough_script(tmp_path):
+    # CI runs the same script through the installed ``igp``.
+    code, output = run_walkthrough(f"{sys.executable} -m igp.cli", tmp_path / "demo")
+    assert code == 0, output
+    assert output.endswith("walkthrough: ok\n")
+    assert (tmp_path / "demo" / "report" / "correlation.csv").is_file()
+
+
+def test_walkthrough_stops_at_the_first_failure_and_stops_its_endpoint(tmp_path):
+    wrapper = tmp_path / "igp.sh"
+    wrapper.write_text(
+        f'case "$*" in *--endpoint*) exit 3;; esac\nexec "{sys.executable}" -m igp.cli "$@"\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "demo"
+    code, output = run_walkthrough(f"sh {wrapper}", out)
+    assert code == 3
+    assert "walkthrough: ok" not in output
+    assert (out / "run-igp").is_dir() and not (out / "run-none").exists()
+    port = int((out / "endpoint.out").read_text(encoding="utf-8").split()[1])
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
 
 
 class TestSweepCommand:

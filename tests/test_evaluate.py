@@ -142,6 +142,36 @@ class TestDatasetSummary:
         with pytest.raises(ValueError):
             dataset_summary([])
 
+    def test_f1_of_none_left_out_of_the_f1_mean_only(self):
+        summary = dataset_summary(
+            [self.sample(0.5, 100), SampleResult("u", None, None, 200), self.sample(1.0, 30)]
+        )
+        assert summary.f1_mean == 0.75
+        assert summary.tk_mean == 110.0
+        assert summary.n_samples == 3
+
+    def test_no_f1_at_all_gives_no_f1_mean(self):
+        summary = dataset_summary([SampleResult("u", None, None, 40)])
+        assert summary.f1_mean is None
+        assert summary.tk_mean == 40.0
+
+    def test_ndcg_mean_over_the_samples_that_have_one(self):
+        samples = [
+            SampleResult("a", "x", 0.5, 10, ndcg=0.25),
+            SampleResult("b", "x", 0.5, 10),
+            SampleResult("c", "x", 0.5, 10, ndcg=1.0),
+        ]
+        assert dataset_summary(samples).ndcg_mean == 0.625
+        assert dataset_summary(samples[1:2]).ndcg_mean is None
+
+    @pytest.mark.parametrize("side", ["sample", "baseline"])
+    def test_nte_against_an_f1_of_none_undefined(self, side):
+        unlabeled = [SampleResult("u", None, None, 50)]
+        labeled = [self.sample(0.6, 50)]
+        results, base = (unlabeled, labeled) if side == "sample" else (labeled, unlabeled)
+        with pytest.raises(ValueError, match="NTE undefined"):
+            dataset_summary(results, baseline=dataset_summary(base))
+
 
 class TestNdcg:
     def test_ideal_ranking_scores_one(self):

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import load_passage_map
+
 from igp.core import (
     CandidateSet,
     Passage,
@@ -20,7 +22,6 @@ from igp.core import (
 from igp.pipeline import (
     API_KEY_ENV,
     RunConfig,
-    load_passage_map,
     load_records,
     make_backend,
     run_dataset,

@@ -400,6 +400,16 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match=message):
             load_index(path)
 
+    def test_forged_column_length_refused_at_the_real_end(self, tmp_path):
+        # Read whole, a column of 10**12 postings would ask for 4 TB at once.
+        path = tmp_path / "bm25.idx"
+        index = build_index(DOCS)
+        save_index(index, path)
+        rewrite_header(path, lambda h: h["ends"].__setitem__(-1, 10**12))
+        message = f"doc_ids ends after {2 * len(index.doc_ids)} of {10**12} postings"
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
+
     @pytest.mark.parametrize("section", ["header", "doc_ids", "tfs"])
     @pytest.mark.parametrize("ended", [False, True], ids=["cut", "short"])
     def test_truncated_file_refused(self, tmp_path, section, ended):
