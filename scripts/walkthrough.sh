@@ -5,11 +5,11 @@
 #
 # IGP is the command that runs the CLI, split on spaces: `igp` for the
 # installed entry point, or `python -m igp.cli`. OUT_DIR receives the demo
-# world and every output. The script builds the demo world and indexes it
-# twice (the two files must be equal), runs every rerank method, runs the
-# `igp` run again over HTTP against perfbench/endpoint.py serving the stub
-# table (its summary, and its records without timings, must equal the stub
-# run's), runs two sweeps and the report. It exits non-zero at the first
+# world and every output. The script builds the demo world twice and indexes
+# it twice (each pair of files must be equal), runs every rerank method, runs
+# the `igp` run again over HTTP against perfbench/endpoint.py serving the
+# stub table (its summary, and its records without timings, must equal the
+# stub run's), runs two sweeps and the report. It exits non-zero at the first
 # failing command or mismatch, and stops the endpoint on every exit path.
 # It needs `python3` (stdlib only, with igp importable for the fixture).
 set -eu
@@ -34,6 +34,11 @@ trap stop_endpoint EXIT
 trap 'exit 1' HUP INT TERM
 
 python3 "$ROOT/scripts/make_demo_fixture.py" "$D" > /dev/null
+# The same recipe gives the same world files.
+python3 "$ROOT/scripts/make_demo_fixture.py" "$D/again" > /dev/null
+for f in corpus.jsonl dataset.jsonl qrels.tsv stub.json; do
+    cmp "$D/$f" "$D/again/$f"
+done
 $IGP index --corpus "$D/corpus.jsonl" --out "$D/bm25.idx"
 # The same corpus gives the same index bytes.
 $IGP index --corpus "$D/corpus.jsonl" --out "$D/bm25-2.idx"

@@ -35,12 +35,8 @@ SWEEP_PARAMS = tuple(_SWEEP_FIELD)
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    corpus_path = Path(args.corpus)
-    if not corpus_path.exists():
-        print(f"error: corpus file not found: {corpus_path}", file=sys.stderr)
-        return 1
     stopwords = frozenset(args.stopwords.split(",")) if args.stopwords else frozenset()
-    index = build_index(load_corpus(corpus_path), Analyzer(stopwords=stopwords))
+    index = build_index(load_corpus(args.corpus), Analyzer(stopwords=stopwords))
     save_index(index, args.out)
     print(f"indexed {index.doc_count} passages -> {args.out}")
     return 0
@@ -107,7 +103,10 @@ def _parse_grid(param: str, raw: str) -> list:
         chunk = chunk.strip()
         if not chunk:
             continue
-        values.append(float(chunk) if param == "tp" else int(chunk))
+        value = float(chunk) if param == "tp" else int(chunk)
+        if value in values:
+            raise ValueError(f"sweep grid for {param} lists {value} twice")
+        values.append(value)
     if not values:
         raise ValueError("sweep grid is empty")
     return values
@@ -350,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -61,6 +61,9 @@ RERANK_METHODS = ("none", "ig", "igp", "qlm", "yesno")
 SUMMARY_COLUMNS = ("method", "topm", "tp", "f1", "tk", "nte", "ndcg", "n")
 
 
+_OPTIONAL_STR = ("corpus_path", "qrels_path", "stub_path", "endpoint", "model")
+_STR_SETTINGS = ("index_path", "dataset_path", "out_dir", *_OPTIONAL_STR)
+
 _INT_SETTINGS = (
     "top_m", "token_guard", "top_n", "top_k", "max_tokens", "answer_max_tokens", "parallelism"
 )
@@ -97,6 +100,10 @@ class RunConfig:
     failure_ceiling: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in _STR_SETTINGS:
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (value is None and name in _OPTIONAL_STR):
+                raise ValueError(f"{name} must be a string, not {value!r}")
         if self.rerank not in RERANK_METHODS:
             raise ValueError(f"unknown rerank method {self.rerank!r}")
         if (self.stub_path is None) == (self.endpoint is None):
@@ -314,6 +321,9 @@ def run_points(
         queries = [
             q for q in queries if q.gold_answers and (qrels is None or q.id in qrels)
         ]
+    if not queries:
+        kind = "labeled query" if first.labeled_only else "query"
+        raise ValueError(f"dataset {first.dataset_path} has no {kind} to run")
     if backend is None:
         backend = make_backend(first)
     for config in configs:

@@ -234,9 +234,14 @@ class StubBackend(ProbeBackend):
     """
 
     def __init__(self, table: dict):
-        if "prompts" not in table:
-            raise ValueError("stub table must have a 'prompts' mapping")
-        self._prompts: dict[str, dict] = table["prompts"]
+        prompts = table.get("prompts") if isinstance(table, dict) else None
+        if not (isinstance(prompts, dict) and all(isinstance(e, dict) for e in prompts.values())):
+            raise ValueError(
+                "stub table must be an object whose 'prompts' maps each prompt to an object"
+            )
+        if not isinstance(table.get("default", {}), dict):
+            raise ValueError("stub table's 'default' must be an object")
+        self._prompts: dict[str, dict] = prompts
         self._default: Optional[dict] = table.get("default")
         self._oov_logprob: float = float(table.get("oov_logprob", -20.0))
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import cut_inside, cut_short, read_summary_csv
+from helpers import DEMO_SCRIPT, cut_inside, cut_short, read_summary_csv
 
 import igp.cli
 import igp.pipeline
@@ -117,8 +117,18 @@ class TestIndexCommand:
         assert run_cli("index", "--corpus", miniworld.corpus_path, "--out", out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_missing_corpus_fails(self, tmp_path):
-        assert run_cli("index", "--corpus", tmp_path / "nope.jsonl", "--out", tmp_path / "x") == 1
+    def test_missing_corpus_fails(self, tmp_path, capsys):
+        corpus = tmp_path / "nope.jsonl"
+        assert run_cli("index", "--corpus", corpus, "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(corpus) in err
+
+    def test_directory_as_corpus_fails(self, tmp_path, capsys):
+        out = tmp_path / "x.idx"
+        assert run_cli("index", "--corpus", tmp_path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -397,6 +407,16 @@ def demo_world(tmp_path_factory):
     runpy.run_path(str(script))["build"](root)
     assert run_cli("index", "--corpus", root / "corpus.jsonl", "--out", root / "bm25.idx") == 0
     return root
+
+
+def test_demo_world_build_is_deterministic(tmp_path):
+    build = runpy.run_path(str(DEMO_SCRIPT))["build"]
+    build(tmp_path / "a")
+    build(tmp_path / "b")
+    names = ["corpus.jsonl", "dataset.jsonl", "qrels.tsv", "stub.json"]
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_demo_stub_keys_every_probe_prompt(demo_world):
@@ -704,6 +724,112 @@ class TestSweepCommand:
             "scheme and a host\n"
         )
         assert not out.exists()
+
+
+class TestBadRunInputs:
+    COMMANDS = [("run",), ("sweep", "--param", "tp", "--values", "0,0.05")]
+
+    def assert_refused(self, argv, out, capsys):
+        """The command exits 2 with one ``error:`` line and writes no ``out``;
+        returns that line."""
+        assert run_cli(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"index_path": 3},
+            {"dataset_path": ["d.jsonl"]},
+            {"qrels_path": 3},
+            {"corpus_path": {}},
+            {"stub_path": True},
+            {"stub_path": None, "endpoint": 3, "model": "m"},
+            {"stub_path": None, "endpoint": "http://127.0.0.1:9/v1", "model": 3},
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("command", COMMANDS, ids=["run", "sweep"])
+    def test_path_or_name_of_the_wrong_type_exits_2(
+        self, world_args, tmp_path, capsys, command, document
+    ):
+        # The flags of the document's fields come out of world_args, so that
+        # the document's values stand.
+        args = list(world_args)
+        for name in document:
+            flag = RUN_FLAGS[name][0]
+            if flag in args:
+                del args[args.index(flag) : args.index(flag) + 2]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        err = self.assert_refused([*command, "--config", path, *args], tmp_path / "r", capsys)
+        assert "must be a string" in err
+
+    @pytest.mark.parametrize("flag", ["--index", "--dataset", "--qrels", "--stub"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=["run", "sweep"])
+    def test_directory_as_an_input_file_exits_2(
+        self, world_args, tmp_path, capsys, command, flag
+    ):
+        args = list(world_args)
+        args[args.index(flag) + 1] = tmp_path
+        err = self.assert_refused([*command, *args], tmp_path / "r", capsys)
+        assert str(tmp_path) in err
+
+    @pytest.mark.parametrize(
+        "table",
+        ['"prompts"', '{"prompts": 3}', '{"prompts": {"p": 3}}', '{"prompts": {}, "default": 3}'],
+    )
+    @pytest.mark.parametrize("command", COMMANDS, ids=["run", "sweep"])
+    def test_stub_table_of_the_wrong_shape_exits_2_before_any_directory(
+        self, world_args, tmp_path, capsys, command, table
+    ):
+        stub = tmp_path / "stub.json"
+        stub.write_text(table, encoding="utf-8")
+        args = list(world_args)
+        args[args.index("--stub") + 1] = stub
+        err = self.assert_refused([*command, *args], tmp_path / "r", capsys)
+        assert "stub table" in err
+
+    @pytest.mark.parametrize("labeled_only", [False, True], ids=["empty", "none-labeled"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=["run", "sweep"])
+    def test_run_with_no_query_to_run_exits_2_before_any_directory(
+        self, miniworld, world_args, tmp_path, capsys, command, labeled_only
+    ):
+        # Either no query at all, or qrels that name none of the queries.
+        args = list(world_args)
+        dataset = tmp_path / "dataset.jsonl"
+        if labeled_only:
+            dataset.write_text(miniworld.dataset_path.read_text(encoding="utf-8"), encoding="utf-8")
+            qrels = tmp_path / "qrels.tsv"
+            qrels.write_text("other\tp0\t1\n", encoding="utf-8")
+            args[args.index("--qrels") + 1] = qrels
+            args.append("--labeled-only")
+        else:
+            dataset.write_text("", encoding="utf-8")
+        args[args.index("--dataset") + 1] = dataset
+        err = self.assert_refused([*command, *args], tmp_path / "r", capsys)
+        kind = "labeled query" if labeled_only else "query"
+        assert err == f"error: dataset {dataset} has no {kind} to run\n"
+
+    @pytest.mark.parametrize(
+        "param, values, repeated",
+        [("tp", "0.05,0.05", "0.05"), ("tp", "-inf,0.05,5e-2", "0.05"), ("topk", "4,2,04", "4")],
+    )
+    def test_sweep_grid_that_repeats_a_value_exits_2(
+        self, world_args, tmp_path, capsys, param, values, repeated
+    ):
+        err = self.assert_refused(
+            ["sweep", *world_args, "--param", param, f"--values={values}"], tmp_path / "r", capsys
+        )
+        assert err == f"error: sweep grid for {param} lists {repeated} twice\n"
+        err = self.assert_refused(
+            ["sweep", *world_args, "--param", "topm", "--values", "1,2",
+             "--param2", param, f"--values2={values}"],
+            tmp_path / "r", capsys,
+        )
+        assert err == f"error: sweep grid for {param} lists {repeated} twice\n"
 
 
 class TestReport:

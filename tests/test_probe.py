@@ -249,6 +249,25 @@ class TestStubRollout:
         )
         assert StubBackend.load(path).greedy_rollout("p", CFG).effective_length == 1
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            "prompts",
+            [],
+            {},
+            {"prompts": 3},
+            {"prompts": ["p"]},
+            {"prompts": {"p": 3}},
+            {"prompts": {"p": {"steps": []}, "q": "text"}},
+            {"prompts": {}, "default": None},
+            {"prompts": {}, "default": [{"steps": []}]},
+        ],
+        ids=repr,
+    )
+    def test_table_of_the_wrong_shape_rejected(self, table):
+        with pytest.raises(ValueError, match="stub table"):
+            StubBackend(table)
+
 
 class TestStubForceScore:
     def test_constant_logprob(self):
