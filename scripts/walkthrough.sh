@@ -9,8 +9,10 @@
 # it twice (each pair of files must be equal), runs every rerank method, runs
 # the `igp` run again over HTTP against perfbench/endpoint.py serving the
 # stub table (its summary, and its records without timings, must equal the
-# stub run's), runs two sweeps and the report. It exits non-zero at the first
-# failing command or mismatch, and stops the endpoint on every exit path.
+# stub run's), runs two sweeps and the report, and checks that a run given a
+# directory as its corpus is refused with exit 2 and writes no directory. It
+# exits non-zero at the first failing command or mismatch, and stops the
+# endpoint on every exit path.
 # It needs `python3` (stdlib only, with igp importable for the fixture).
 set -eu
 
@@ -99,6 +101,14 @@ $IGP sweep --index "$D/bm25.idx" --dataset "$D/dataset.jsonl" \
     --stub "$D/stub.json" --topk 4 --max-tokens 8 --topm 5 \
     --param tp --values=-inf,0.05 --param2 topk --values2 2,4 \
     --out "$D/sweep-tpk"
+# An input file that cannot be opened is refused before any output.
+status=0
+$IGP run --index "$D/bm25.idx" --dataset "$D/dataset.jsonl" \
+    --stub "$D/stub.json" --corpus "$D" --out "$D/refused" 2> "$D/refused.err" || status=$?
+if [ "$status" -ne 2 ] || [ -e "$D/refused" ]; then
+    echo "walkthrough: a directory as --corpus gave exit $status" >&2
+    exit 1
+fi
 $IGP report "$D/run-igp/summary.csv" "$D/run-none/summary.csv" \
     "$D/run-yesno/summary.csv" "$D/run-ig/summary.csv" \
     "$D/run-qlm/summary.csv" "$D/sweep-tp/sweep.csv" \

@@ -61,19 +61,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _check_inputs(config: RunConfig) -> None:
-    paths = {
-        "index": config.index_path,
-        "dataset": config.dataset_path,
-        "qrels": config.qrels_path,
-        "stub": config.stub_path,
-        "corpus": config.corpus_path,
-    }
-    for name, p in paths.items():
-        if p is not None and not Path(p).exists():
-            raise FileNotFoundError(f"{name} file not found: {p}")
-
-
 def _finish(result: RunResult, config: RunConfig) -> int:
     """Print the run's summary line, and a warning naming the run directory
     when any query failed; the exit code is 1 when the failure rate is
@@ -91,7 +78,6 @@ def _finish(result: RunResult, config: RunConfig) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _check_inputs(config)
     exit_code = _finish(run_dataset(config), config)
     print(f"records -> {Path(config.out_dir) / 'records.jsonl'}")
     return exit_code
@@ -124,7 +110,6 @@ def _point_config(base: RunConfig, i: int, assignment: dict) -> RunConfig:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
-    _check_inputs(base)
     axes = [(args.param, _parse_grid(args.param, args.values))]
     if args.values2 is not None and not args.param2:
         raise ValueError("--values2 requires --param2")
@@ -248,6 +233,8 @@ def _report_rows(path: str) -> list[dict]:
     config_path = Path(path).parent / "config.json"
     if config_path.is_file():
         config = json.loads(config_path.read_text(encoding="utf-8"))
+        if not (isinstance(config, dict) and {"top_k", "max_tokens"} <= config.keys()):
+            raise ValueError(f"{config_path}: not a run config with top_k and max_tokens")
         for row in rows:
             row.setdefault("k", str(config["top_k"]))
             row.setdefault("mt", str(config["max_tokens"]))

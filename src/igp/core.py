@@ -8,7 +8,6 @@ produce byte-identical strings.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -111,13 +110,12 @@ DEFAULT_YESNO_TEMPLATE = (
     "Assistant:"
 )
 
-_SLOT_RE = re.compile(r"\{(reference|question|context)\}")
-
 
 def _render(template: str, slots: dict[str, str]) -> str:
-    # Single-pass substitution: slot text inserted from user content is never
-    # re-scanned, so braces inside passages or questions cannot inject slots.
-    return _SLOT_RE.sub(lambda m: slots[m.group(1)], template)
+    # format_map scans only the template: slot text inserted from user content
+    # is never scanned again, so braces inside passages or questions cannot
+    # inject slots.
+    return template.format_map(slots)
 
 
 def format_reference(passages: Sequence[Passage]) -> str:

@@ -307,8 +307,8 @@ def run_points(
     results in point order. Per-query failures are recorded and skipped; the
     caller decides whether a point's failure rate breaches its ceiling.
 
-    The index, dataset, qrels and backend come from the first config, so
-    points differ only in per-query settings. Each query runs every point on
+    The index, dataset, qrels, corpus and backend come from the first config,
+    so points differ only in per-query settings. Each query runs every point on
     one worker, through one ``Prober`` made for that query and dropped after
     it: its rollouts serve every point, probed at the widest Top-K any point
     asks for, and no rollout outlives its query. Its ``calls`` are zeroed
@@ -317,6 +317,10 @@ def run_points(
     index = load_index(first.index_path)
     queries = load_dataset(first.dataset_path)
     qrels = load_qrels(first.qrels_path) if first.qrels_path else None
+    if first.corpus_path is not None:
+        # Passage texts come from the index; the corpus is kept in
+        # config.json for replay, so it is opened, not parsed.
+        open(first.corpus_path, "rb").close()
     if first.labeled_only:
         queries = [
             q for q in queries if q.gold_answers and (qrels is None or q.id in qrels)

@@ -174,111 +174,6 @@ class TestRunCommand:
         rows = read_summary_csv(out / "summary.csv")
         assert rows[0]["method"] == "yesno"
 
-    def test_unknown_config_key_rejected(self, world_args, tmp_path):
-        path, out = tmp_path / "bad.json", tmp_path / "r"
-        for document in ({"wat": 1}, {"yesno_template": "User: {question}\nAssistant:"}):
-            path.write_text(json.dumps(document), encoding="utf-8")
-            assert run_cli("run", *world_args, "--config", path, "--out", out) == 2
-            assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ("--topk", "1"),
-            ("--rerank", "none", "--topk", "1"),
-            ("--topm", "0"),
-            ("--max-tokens", "0"),
-            ("--topn", "0"),
-            ("--parallelism", "0"),
-        ],
-    )
-    def test_bad_setting_rejected_before_any_query(self, world_args, tmp_path, capsys, flags):
-        out = tmp_path / "r"
-        assert run_cli("run", *world_args, *flags, "--out", out) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("document", [[1], 3, {"top_k": "wide"}])
-    def test_bad_config_document_rejected(self, world_args, tmp_path, capsys, document):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
-        args = list(world_args)
-        del args[args.index("--topk"):args.index("--topk") + 2]
-        out = tmp_path / "r"
-        assert run_cli("run", "--config", path, *args, "--out", out) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "document",
-        [
-            {"tp": "wide"},
-            {"tp": float("nan")},
-            {"tp": True},
-            {"failure_ceiling": "x"},
-            {"failure_ceiling": 1.5},
-            {"failure_ceiling": -0.1},
-        ],
-    )
-    def test_bad_tp_or_failure_ceiling_rejected(self, world_args, tmp_path, capsys, document):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
-        out = tmp_path / "r"
-        assert run_cli("run", "--config", path, *world_args, "--out", out) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flags", [("--tp", "nan"), ("--failure-ceiling", "2")])
-    def test_bad_tp_or_failure_ceiling_flag_rejected(self, world_args, tmp_path, capsys, flags):
-        out = tmp_path / "r"
-        assert run_cli("run", *world_args, *flags, "--out", out) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "setting",
-        [
-            {"top_k": 4.5},
-            {"max_tokens": 8.5},
-            {"top_n": 2.5},
-            {"top_m": 2.5},
-            {"token_guard": 100.5},
-            {"parallelism": 2.5},
-            {"answer_max_tokens": "8"},
-            {"top_k": True},
-            {"generate": "false"},
-            {"labeled_only": 1},
-            ("--answer-max-tokens", "-3"),
-            ("--answer-max-tokens", "0"),
-        ],
-        ids=str,
-    )
-    @pytest.mark.parametrize(
-        "command",
-        [("run",), ("sweep", "--param", "tp", "--values", "0,0.05")],
-        ids=["run", "sweep"],
-    )
-    def test_wrong_typed_or_bad_setting_rejected_before_any_directory(
-        self, world_args, tmp_path, capsys, command, setting
-    ):
-        # The flags that world_args sets move into the file, so that the
-        # file's bad value is not overridden.
-        args, document = list(world_args), {}
-        for flag, name in (("--topk", "top_k"), ("--max-tokens", "max_tokens"), ("--topn", "top_n")):
-            at = args.index(flag)
-            document[name] = int(args[at + 1])
-            del args[at : at + 2]
-        if isinstance(setting, dict):
-            document.update(setting)
-        else:
-            args.extend(setting)
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
-        out = tmp_path / "r"
-        assert run_cli(*command, "--config", path, *args, "--out", out) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "world, flags, failed",
         [
@@ -338,11 +233,6 @@ class TestRunCommand:
         out = tmp_path / "r"
         assert run_cli("run", *world_args, "--rerank", "igp", "--tp=-inf", "--out", out) == 0
         assert read_summary_csv(out / "summary.csv")[0]["tp"] == "-inf"
-
-    def test_missing_input_file_fails_cleanly(self, world_args, tmp_path):
-        args = list(world_args)
-        args[args.index("--index") + 1] = tmp_path / "missing.idx"
-        assert run_cli("run", *args, "--out", tmp_path / "r") == 2
 
     @pytest.mark.parametrize("damage", ["header", "doc_ids", "tfs", "trailing byte"])
     def test_damaged_index_fails_cleanly(self, miniworld, world_args, tmp_path, capsys, damage):
@@ -639,26 +529,6 @@ class TestSweepCommand:
             ("2", "2"), ("2", "8"), ("4", "2"), ("4", "8"),
         ]
 
-    def test_bad_grid_point_rejected_before_the_first_point(self, world_args, tmp_path, capsys):
-        out = tmp_path / "badk"
-        code = run_cli(
-            "sweep", *world_args, "--rerank", "igp", "--topm", "1",
-            "--param", "topk", "--values", "4,1", "--out", out,
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not list(out.glob("point_*")) and not list(out.glob("**/records.jsonl"))
-
-    def test_values2_without_param2_rejected(self, world_args, tmp_path, capsys):
-        out = tmp_path / "nop2"
-        code = run_cli(
-            "sweep", *world_args, "--param", "tp", "--values=0,0.05",
-            "--values2", "2,3", "--out", out,
-        )
-        assert code == 2
-        assert capsys.readouterr().err == "error: --values2 requires --param2\n"
-        assert not list(out.glob("point_*"))
-
     @pytest.mark.parametrize("ceiling, expected", [("0", 1), ("0.5", 0)])
     def test_each_failing_point_warns_and_the_ceiling_sets_the_exit_code(
         self, broken_stub_args, tmp_path, capsys, ceiling, expected
@@ -678,52 +548,92 @@ class TestSweepCommand:
             for p in points
         ]
 
-    def test_duplicate_axes_rejected(self, world_args, tmp_path):
-        code = run_cli(
-            "sweep", *world_args, "--param", "tp", "--values", "0,0.05",
-            "--param2", "tp", "--values2", "0.1", "--out", tmp_path / "dup",
-        )
-        assert code == 2
 
-    @pytest.mark.parametrize(
-        "command",
-        [("run",), ("sweep", "--param", "tp", "--values", "0,0.05")],
-        ids=["run", "sweep"],
-    )
-    def test_duplicate_query_id_rejected_before_any_directory(
-        self, miniworld, world_args, tmp_path, capsys, command
-    ):
-        lines = Path(miniworld.dataset_path).read_text(encoding="utf-8").splitlines()
-        dataset = tmp_path / "dup.jsonl"
-        dataset.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
-        args = list(world_args)
-        args[args.index("--dataset") + 1] = dataset
-        out = tmp_path / "r"
-        assert run_cli(*command, *args, "--rerank", "igp", "--out", out) == 2
-        qid = json.loads(lines[0])["id"]
-        assert capsys.readouterr().err == (
-            f"error: {dataset}:{len(lines) + 1}: duplicate query id {qid!r} (first on line 1)\n"
-        )
-        assert not out.exists()
+# Stand-ins for the paths a refusal's test makes: a directory, a file that
+# does not exist, and the dataset with its first query repeated at the end.
+DIRECTORY, MISSING, REPEATED_ID = "<directory>", "<missing>", "<repeated id>"
+SWEEP_FLAGS = {"--param", "--values", "--param2", "--values2"}
 
-    @pytest.mark.parametrize(
-        "command",
-        [("run",), ("sweep", "--param", "tp", "--values", "0,0.05")],
-        ids=["run", "sweep"],
-    )
-    def test_bad_endpoint_url_rejected_before_any_directory(
-        self, world_args, tmp_path, capsys, command
-    ):
-        args = list(world_args)
-        at = args.index("--stub")
-        args[at : at + 2] = ["--endpoint", "localhost:8000/v1", "--model", "m"]
-        out = tmp_path / "r"
-        assert run_cli(*command, *args, "--rerank", "igp", "--out", out) == 2
-        assert capsys.readouterr().err == (
-            "error: endpoint URL 'localhost:8000/v1' needs an http:// or https:// "
-            "scheme and a host\n"
+# Each refusal edits the flags of world_args (and of the sweep's tp axis):
+# a value sets its flag and None drops it. A --config value is the document
+# to write, and the flags of its fields are dropped so that its values stand.
+# A message that begins with "error: " is the whole of stderr; any other is a
+# part of the one error line. "{path}" is the row's stand-in path.
+REFUSALS = {
+    "unknown-key": ({"--config": {"wat": 1}}, "error: unknown config keys: ['wat']\n"),
+    "template-key": (
+        {"--config": {"yesno_template": "User: {question}\nAssistant:"}},
+        "unknown config keys: ['yesno_template']",
+    ),
+    "config-list": ({"--config": [1]}, "must hold a JSON object"),
+    "config-number": ({"--config": 3}, "must hold a JSON object"),
+    "no-index": ({"--index": None}, "missing required config values: ['index_path']"),
+    "topk-1": ({"--topk": "1"}, "top_k must be >= 2"),
+    "topk-1-none": ({"--rerank": "none", "--topk": "1"}, "top_k must be >= 2"),
+    "topm-0": ({"--topm": "0"}, "top_m must be >= 1"),
+    "mt-0": ({"--max-tokens": "0"}, "max_tokens must be >= 1"),
+    "topn-0": ({"--topn": "0"}, "top_n must be >= 1"),
+    "parallelism-0": ({"--parallelism": "0"}, "parallelism must be >= 1"),
+    "answer-mt--3": ({"--answer-max-tokens": "-3"}, "answer_max_tokens must be >= 1"),
+    "answer-mt-0": ({"--answer-max-tokens": "0"}, "answer_max_tokens must be >= 1"),
+    "tp-nan-flag": ({"--tp": "nan"}, "tp must be a number, not nan"),
+    "ceiling-2-flag": ({"--failure-ceiling": "2"}, "failure_ceiling must be a number in [0, 1]"),
+    "tp-str": ({"--config": {"tp": "wide"}}, "tp must be a number, not 'wide'"),
+    "tp-nan": ({"--config": {"tp": float("nan")}}, "tp must be a number, not nan"),
+    "tp-bool": ({"--config": {"tp": True}}, "tp must be a number, not True"),
+    "ceiling-str": ({"--config": {"failure_ceiling": "x"}}, "not 'x'"),
+    "ceiling-1.5": ({"--config": {"failure_ceiling": 1.5}}, "not 1.5"),
+    "ceiling--0.1": ({"--config": {"failure_ceiling": -0.1}}, "not -0.1"),
+    "topk-str": ({"--config": {"top_k": "wide"}}, "top_k must be an integer, not 'wide'"),
+    "topk-float": ({"--config": {"top_k": 4.5}}, "top_k must be an integer, not 4.5"),
+    "topk-bool": ({"--config": {"top_k": True}}, "top_k must be an integer, not True"),
+    "mt-float": ({"--config": {"max_tokens": 8.5}}, "max_tokens must be an integer"),
+    "topn-float": ({"--config": {"top_n": 2.5}}, "top_n must be an integer"),
+    "topm-float": ({"--config": {"top_m": 2.5}}, "top_m must be an integer"),
+    "guard-float": ({"--config": {"token_guard": 100.5}}, "token_guard must be an integer"),
+    "parallelism-float": ({"--config": {"parallelism": 2.5}}, "parallelism must be an integer"),
+    "answer-mt-str": ({"--config": {"answer_max_tokens": "8"}}, "answer_max_tokens must be"),
+    "generate-str": ({"--config": {"generate": "false"}}, "generate must be true or false"),
+    "labeled-only-int": ({"--config": {"labeled_only": 1}}, "labeled_only must be true or false"),
+    "index-int": ({"--config": {"index_path": 3}}, "index_path must be a string"),
+    "dataset-list": ({"--config": {"dataset_path": ["d.jsonl"]}}, "dataset_path must be a string"),
+    "qrels-int": ({"--config": {"qrels_path": 3}}, "qrels_path must be a string"),
+    "corpus-object": ({"--config": {"corpus_path": {}}}, "corpus_path must be a string"),
+    "stub-bool": ({"--config": {"stub_path": True}}, "stub_path must be a string"),
+    "endpoint-int": (
+        {"--config": {"stub_path": None, "endpoint": 3, "model": "m"}},
+        "endpoint must be a string",
+    ),
+    "model-int": (
+        {"--config": {"stub_path": None, "endpoint": "http://127.0.0.1:9/v1", "model": 3}},
+        "model must be a string",
+    ),
+    "endpoint-url": (
+        {"--stub": None, "--endpoint": "localhost:8000/v1", "--model": "m"},
+        "error: endpoint URL 'localhost:8000/v1' needs an http:// or https:// "
+        "scheme and a host\n",
+    ),
+    "repeated-query-id": (
+        {"--dataset": REPEATED_ID},
+        "error: {path}:11: duplicate query id 'q0' (first on line 1)\n",
+    ),
+    **{
+        f"{flag[2:]}-{kind}": ({flag: stand_in}, f"{reason}: '{{path}}'")
+        for flag in ("--index", "--dataset", "--corpus", "--qrels", "--stub")
+        for kind, stand_in, reason in (
+            ("missing", MISSING, "No such file or directory"),
+            ("directory", DIRECTORY, "Is a directory"),
         )
-        assert not out.exists()
+    },
+    "grid-point": ({"--param": "topk", "--values": "4,1"}, "top_k must be >= 2"),
+    "empty-grid": ({"--values": ","}, "error: sweep grid is empty\n"),
+    "values2-alone": ({"--values2": "2,3"}, "error: --values2 requires --param2\n"),
+    "param2-alone": ({"--param2": "topk"}, "error: --param2 requires --values2\n"),
+    "same-axes": (
+        {"--param2": "tp", "--values2": "0.1"},
+        "error: the two sweep axes must differ\n",
+    ),
+}
 
 
 class TestBadRunInputs:
@@ -739,43 +649,48 @@ class TestBadRunInputs:
         return err
 
     @pytest.mark.parametrize(
-        "document",
+        "command, edits, expected",
         [
-            {"index_path": 3},
-            {"dataset_path": ["d.jsonl"]},
-            {"qrels_path": 3},
-            {"corpus_path": {}},
-            {"stub_path": True},
-            {"stub_path": None, "endpoint": 3, "model": "m"},
-            {"stub_path": None, "endpoint": "http://127.0.0.1:9/v1", "model": 3},
+            pytest.param(command, edits, expected, id=f"{command}-{name}")
+            for name, (edits, expected) in REFUSALS.items()
+            for command in ("run", "sweep")
+            if command == "sweep" or not SWEEP_FLAGS & set(edits)
         ],
-        ids=str,
     )
-    @pytest.mark.parametrize("command", COMMANDS, ids=["run", "sweep"])
-    def test_path_or_name_of_the_wrong_type_exits_2(
-        self, world_args, tmp_path, capsys, command, document
+    def test_refused_before_any_directory(
+        self, miniworld, world_args, tmp_path, capsys, command, edits, expected
     ):
-        # The flags of the document's fields come out of world_args, so that
-        # the document's values stand.
-        args = list(world_args)
-        for name in document:
-            flag = RUN_FLAGS[name][0]
-            if flag in args:
-                del args[args.index(flag) : args.index(flag) + 2]
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
-        err = self.assert_refused([*command, "--config", path, *args], tmp_path / "r", capsys)
-        assert "must be a string" in err
-
-    @pytest.mark.parametrize("flag", ["--index", "--dataset", "--qrels", "--stub"])
-    @pytest.mark.parametrize("command", COMMANDS, ids=["run", "sweep"])
-    def test_directory_as_an_input_file_exits_2(
-        self, world_args, tmp_path, capsys, command, flag
-    ):
-        args = list(world_args)
-        args[args.index(flag) + 1] = tmp_path
-        err = self.assert_refused([*command, *args], tmp_path / "r", capsys)
-        assert str(tmp_path) in err
+        flags = dict(zip(world_args[::2], world_args[1::2]))
+        if command == "sweep":
+            flags.update({"--param": "tp", "--values": "0,0.05"})
+        path = None
+        for flag, value in edits.items():
+            if flag == "--config":
+                for name in RUN_FLAGS.keys() & (value if isinstance(value, dict) else {}):
+                    flags.pop(RUN_FLAGS[name][0], None)
+                config = tmp_path / "run.json"
+                config.write_text(json.dumps(value), encoding="utf-8")
+                value = config
+            elif value == DIRECTORY:
+                value = path = tmp_path
+            elif value == MISSING:
+                value = path = tmp_path / "missing"
+            elif value == REPEATED_ID:
+                lines = miniworld.dataset_path.read_text(encoding="utf-8").splitlines()
+                value = path = tmp_path / "dataset.jsonl"
+                path.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+            if value is None:
+                del flags[flag]
+            else:
+                flags[flag] = value
+        err = self.assert_refused(
+            [command, *(a for pair in flags.items() for a in pair)], tmp_path / "r", capsys
+        )
+        expected = expected.format(path=path)
+        if expected.startswith("error: "):
+            assert err == expected
+        else:
+            assert expected in err
 
     @pytest.mark.parametrize(
         "table",
@@ -914,17 +829,28 @@ class TestReport:
             corr = list(csv.DictReader(fh))
         assert float(corr[0]["spearman_ndcg_f1"]) == pytest.approx(-1.0)
 
-    def test_non_summary_csv_rejected_before_the_report_directory(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("correlation.csv", "topm,spearman_ndcg_f1,n_methods\n1,-1.0,3\n",
+             "not a summary or sweep table, missing columns ['method', 'f1', 'tk']"),
+            ("config.json", "{}", "not a run config with top_k and max_tokens"),
+            ("config.json", "[1]", "not a run config with top_k and max_tokens"),
+        ],
+        ids=["correlation-table", "config-without-keys", "config-list"],
+    )
+    def test_unusable_input_rejected_before_the_report_directory(
+        self, tmp_path, capsys, name, text, message
+    ):
+        # A config.json is read from beside the summary it belongs to.
         summary = tmp_path / "summary.csv"
         write_summary_csv(summary, self.rows())
-        corr = tmp_path / "correlation.csv"
-        corr.write_text("topm,spearman_ndcg_f1,n_methods\n1,-1.0,3\n", encoding="utf-8")
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
         out = tmp_path / "report"
-        assert run_cli("report", summary, corr, "--out", out) == 2
-        assert capsys.readouterr().err == (
-            f"error: {corr}: not a summary or sweep table, "
-            "missing columns ['method', 'f1', 'tk']\n"
-        )
+        inputs = [summary, bad] if bad.suffix == ".csv" else [summary]
+        assert run_cli("report", *inputs, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
     def test_header_only_summaries_rejected_before_the_report_directory(

@@ -103,6 +103,17 @@ class TestProbePrompt:
         for render in (render_probe_prompt, render_yesno_prompt):
             prompt = render(Q, tricky)
             assert "weird {question} braces" in prompt
+        # Neither a question nor a passage is read as a template, in any of
+        # the four prompts.
+        text = "{0} {{ {reference} {question} {context} }} {x!r}"
+        query, passage = Query("q", f"Q {text}"), Passage("p", f"P {text}")
+        assert render_probe_prompt(query, None) == f"User: Q {text}\nAssistant:"
+        for prompt in (
+            render_probe_prompt(query, passage),
+            render_yesno_prompt(query, passage),
+            render_answer_prompt(query, [passage]),
+        ):
+            assert prompt.count(f"Q {text}") == prompt.count(f"P {text}") == 1
 
 
 class TestLoaders:

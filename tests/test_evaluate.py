@@ -283,6 +283,21 @@ class TestQrels:
         with pytest.raises(ValueError):
             load_qrels(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("q1\tp1\n", "2: expected 3 tab-separated fields"),
+            ("q1\tp1\t1\tx\n", "2: expected 3 tab-separated fields"),
+            ("q1\tp1\thigh\n", "2: relevance is not an integer"),
+        ],
+        ids=["two-fields", "four-fields", "relevance-word"],
+    )
+    def test_malformed_row_after_the_first_rejected(self, tmp_path, text, message):
+        path = tmp_path / "qrels.tsv"
+        path.write_text("q0\tp0\t1\n" + text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{message}')}$"):
+            load_qrels(path)
+
     def test_repeated_judgment_rejected(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("q0\tp1\t1\nq0\tp2\t0\nq0\tp1\t3\n", encoding="utf-8")

@@ -294,6 +294,14 @@ class TestRunDataset:
         assert result.summary["tk"] != ""
         assert result.summary["ndcg"] != ""
 
+    def test_backend_that_cannot_generate_records_no_prediction(self, miniworld, tmp_path):
+        # The base backend refuses free text; the queries still succeed.
+        config = world_config(miniworld, tmp_path / "notext", rerank="none")
+        result = run_dataset(config, ProbeBackend())
+        assert result.failed == 0
+        assert all(r.prediction is None and r.f1 is None for r in result.records)
+        assert result.summary["f1"] == ""
+
     def test_labeled_only_filters_queries(self, miniworld, tmp_path):
         # Qrels cover every query here, so the filter is a no-op; dropping
         # the qrels for one query must shrink n by one.

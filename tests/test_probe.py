@@ -2,11 +2,13 @@
 forced-continuation scoring, retries, and error classification."""
 
 import gc
+import http.client
 import json
 import math
 import random
 import re
 import socket
+import ssl
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -267,6 +269,12 @@ class TestStubRollout:
     def test_table_of_the_wrong_shape_rejected(self, table):
         with pytest.raises(ValueError, match="stub table"):
             StubBackend(table)
+
+    def test_entry_without_steps_fails_its_prompt(self):
+        backend = stub({"p": {"text": "an answer"}})
+        (failed,) = backend.greedy_rollouts(["p"], CFG)
+        assert isinstance(failed, MalformedResponseError)
+        assert str(failed) == "stub entry has no steps"
 
 
 class TestStubForceScore:
@@ -659,6 +667,13 @@ class TestDefaultTransport:
         gc.collect()
         assert conn.sock is None
 
+    def test_https_connection_verifies_the_certificate_and_host(self):
+        conn = HttpBackend("https://example.test/v1", "m")._connection()
+        assert isinstance(conn, http.client.HTTPSConnection)
+        assert (conn.host, conn.port, conn.sock) == ("example.test", 443, None)
+        assert conn._context.verify_mode == ssl.CERT_REQUIRED
+        assert conn._context.check_hostname
+
     @pytest.mark.parametrize(
         "url", ["localhost:8000/v1", "ftp://host/v1", "http:///v1", "http://host:port/v1"]
     )
@@ -890,6 +905,28 @@ MALFORMED = {
     "string token_logprobs entry": ("rollout", rollout_choice(token_logprobs=[-0.1, "high"])),
     "string echo logprob": ("force", echo(token_logprobs=[None, "low"])),
 }
+# A choice of the right types that breaks the protocol, the call that reads
+# it, and the message it is refused with.
+REFUSED = {
+    "rollout arrays of different lengths": (
+        "rollout", rollout_choice(token_logprobs=[-0.1]), "inconsistent logprob arrays in response"
+    ),
+    "null top_logprobs step": (
+        "rollout", rollout_choice(top_logprobs=[{"a": -0.1}, None]), "missing logprobs at step 2"
+    ),
+    "null token logprob": (
+        "rollout", rollout_choice(token_logprobs=[-0.1, None]), "missing logprobs at step 2"
+    ),
+    "echo arrays of different lengths": (
+        "force", echo(token_logprobs=[None]), "inconsistent echo logprob arrays"
+    ),
+    "echo of the prompt only": (
+        "force", echo_choice(0, [0], [-0.5]), "echo response covered no continuation tokens"
+    ),
+    "completion without text": (
+        "text", {"index": 0, "finish_reason": "stop"}, "completion response has no text"
+    ),
+}
 # The ones a batch can match to their prompt by index.
 INDEXED = {name: case for name, case in MALFORMED.items() if isinstance(case[1], dict)}
 
@@ -911,6 +948,13 @@ class TestMalformedChoice:
         first, second = BATCH_CALLS[call](backend, ["p0", "p1"])
         assert not isinstance(first, Exception)
         assert isinstance(second, MalformedResponseError)
+        assert len(transport.payloads) == 1
+
+    @pytest.mark.parametrize("call, refused, message", REFUSED.values(), ids=list(REFUSED))
+    def test_protocol_breach_fails_as_malformed_without_retry(self, call, refused, message):
+        backend, transport = http_backend([(200, {"choices": [refused]})])
+        with pytest.raises(MalformedResponseError, match=f"^{re.escape(message)}$"):
+            CALLS[call](backend, "p")
         assert len(transport.payloads) == 1
 
     def test_non_object_choice_fails_only_its_own_slot(self):

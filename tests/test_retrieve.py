@@ -307,10 +307,18 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="fingerprint"):
             load_index(path)
 
-    def test_garbage_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"not an index", "cannot read index file"),
+            (gzip.compress(b"[1]\n"), "is not a bm25-index file"),
+        ],
+        ids=["not-gzip", "json-list"],
+    )
+    def test_garbage_file_rejected(self, tmp_path, data, message):
         path = tmp_path / "bm25.idx"
-        path.write_bytes(b"not an index")
-        with pytest.raises(IndexFormatError):
+        path.write_bytes(data)
+        with pytest.raises(IndexFormatError, match=message):
             load_index(path)
 
     def test_version_1_index_refused(self, tmp_path):
@@ -390,8 +398,10 @@ class TestPersistence:
             (lambda h: h["doc_lengths"].pop(), "doc_lengths holds 3"),
             (lambda h: h["ends"].__setitem__(0, h["ends"][1] + 1), "ends decrease"),
             (lambda h: h.pop("avg_doc_length"), "cannot read index file .*'avg_doc_length'"),
+            (lambda h: h.update(format="csv-index"), "is not a bm25-index file"),
+            (lambda h: h["terms"].pop(), "terms and ends differ in length"),
         ],
-        ids=["ids", "texts", "doc_lengths", "ends", "missing field"],
+        ids=["ids", "texts", "doc_lengths", "ends", "missing field", "format", "terms"],
     )
     def test_inconsistent_header_refused(self, tmp_path, edit, message):
         path = tmp_path / "bm25.idx"
