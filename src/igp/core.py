@@ -8,9 +8,10 @@ produce byte-identical strings.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 
 @dataclass(frozen=True)
@@ -155,10 +156,21 @@ def render_yesno_prompt(query: Query, passage: Passage) -> str:
     )
 
 
-def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+@contextmanager
+def open_input(path: str | Path, role: str) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text. A file that cannot be opened or
+    decoded is refused with a ``ValueError`` that names its ``role``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {role} file {path}: {exc}") from exc
+
+
+def _read_jsonl(path: str | Path, role: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of a JSON-Lines
     file. Every line must be a JSON object with a non-empty "id"."""
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, role) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -180,7 +192,7 @@ def _nonempty_str(value: object) -> bool:
 
 def load_corpus(path: str | Path) -> Iterator[Passage]:
     """Stream passages from a JSON-Lines corpus of {"id", "contents"} objects."""
-    for lineno, obj in _read_jsonl(path):
+    for lineno, obj in _read_jsonl(path, "corpus"):
         text = obj.get("contents")
         if not _nonempty_str(text):
             raise ValueError(
@@ -194,7 +206,7 @@ def load_dataset(path: str | Path) -> list[Query]:
     {"id", "question", "golden_answers"} objects."""
     queries: list[Query] = []
     first_line: dict[str, int] = {}
-    for lineno, obj in _read_jsonl(path):
+    for lineno, obj in _read_jsonl(path, "dataset"):
         qid = str(obj["id"])
         if qid in first_line:
             raise ValueError(

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
+from .core import open_input
+
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
@@ -210,7 +212,7 @@ def load_qrels(path: str | Path) -> QrelSet:
     A pair judged twice is refused."""
     qrels: QrelSet = {}
     first_line: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "qrels") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

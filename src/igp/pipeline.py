@@ -24,6 +24,7 @@ from .core import (
     EvidenceBudget,
     Query,
     load_dataset,
+    open_input,
     render_answer_prompt,
 )
 from .evaluate import (
@@ -320,7 +321,8 @@ def run_points(
     if first.corpus_path is not None:
         # Passage texts come from the index; the corpus is kept in
         # config.json for replay, so it is opened, not parsed.
-        open(first.corpus_path, "rb").close()
+        with open_input(first.corpus_path, "corpus"):
+            pass
     if first.labeled_only:
         queries = [
             q for q in queries if q.gold_answers and (qrels is None or q.id in qrels)

@@ -24,6 +24,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 from urllib.parse import urlsplit, urlunsplit
 
+from .core import open_input
+
 
 class ProbeError(Exception):
     """Base class for probing failures."""
@@ -55,6 +57,9 @@ class UnknownPromptError(ProbeError):
 # than this are treated as a malformed response.
 _GREEDY_TOLERANCE = 1e-6
 
+# The types a logprob may have; JSON integers are made floats.
+_NUMBER = (float, int)
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -76,7 +81,10 @@ class ProbeConfig:
 @dataclass(frozen=True)
 class StepDistribution:
     """Top-K alternatives at one decoding step, sorted by logprob descending
-    with lexicographic token order breaking ties."""
+    with lexicographic token order breaking ties.
+
+    Backends build steps with ``from_logprobs``, which sorts; entries passed
+    in directly are checked for that order instead."""
 
     step_index: int
     entries: tuple[tuple[str, float], ...]
@@ -104,6 +112,53 @@ class StepDistribution:
         # Sorted, so the first logprob is the largest.
         if chosen_lp < lps[0] - _GREEDY_TOLERANCE:
             raise ValueError("chosen token is not a maximal-logprob entry")
+
+    @classmethod
+    def from_logprobs(
+        cls,
+        step_index: int,
+        raw: dict[str, float],
+        top_k: int,
+        chosen_token: Optional[str] = None,
+    ) -> "StepDistribution":
+        """The step of a ``token -> logprob`` map: its ``top_k`` entries by
+        logprob desc, token asc, with integer logprobs made floats. The
+        chosen token is the first entry unless given, and a given one must
+        be kept and maximal. A logprob that is not a number, a NaN anywhere
+        in the map (no order ranks it) and a +inf are refused. Sorting makes
+        the order, so it is not checked again."""
+        if set(map(type, raw.values())) != {float}:
+            for token, lp in raw.items():
+                if type(lp) not in _NUMBER:
+                    raise ValueError(f"logprob of {token!r} is not a number: {lp!r}")
+            raw = {token: float(lp) for token, lp in raw.items()}
+        if not raw:
+            raise ValueError("step has no entries")
+        lps = raw.values()
+        # A finite sum has no NaN or infinity among its terms; NaN is the one
+        # value not equal to itself.
+        if not math.isfinite(sum(lps)) and (math.inf in lps or not all(map(eq, lps, lps))):
+            raise ValueError("logprobs must not be NaN or +inf")
+        # Tokens are unique keys, so a sort of the keys alone orders ties by
+        # token; the stable logprob sort keeps that order among equals.
+        tokens = sorted(raw)
+        tokens.sort(key=raw.__getitem__, reverse=True)
+        del tokens[top_k:]
+        if chosen_token is None:
+            chosen_token = tokens[0]
+        elif chosen_token not in tokens:
+            raise ValueError(f"chosen token {chosen_token!r} not among entries")
+        elif raw[chosen_token] < raw[tokens[0]] - _GREEDY_TOLERANCE:
+            raise ValueError("chosen token is not a maximal-logprob entry")
+        # Built sorted and checked above, so ``__post_init__`` is skipped.
+        step = object.__new__(cls)
+        step.__dict__.update(
+            step_index=step_index,
+            entries=tuple(zip(tokens, map(raw.__getitem__, tokens))),
+            chosen_token=chosen_token,
+            _nu_terms=None,
+        )
+        return step
 
 
 @dataclass(frozen=True)
@@ -137,15 +192,6 @@ class Rollout:
     @property
     def chosen_tokens(self) -> tuple[str, ...]:
         return tuple(s.chosen_token for s in self.steps)
-
-
-def _sorted_entries(raw: dict[str, float], top_k: int) -> tuple[tuple[str, float], ...]:
-    """The ``top_k`` entries of ``raw``, by logprob desc, token asc."""
-    # Tokens are unique keys, so the first sort never compares logprobs; the
-    # second is stable, so equal logprobs stay in token order.
-    ordered = sorted(raw.items())
-    ordered.sort(key=itemgetter(1), reverse=True)
-    return tuple(ordered[:top_k])
 
 
 T = TypeVar("T")
@@ -247,7 +293,7 @@ class StubBackend(ProbeBackend):
 
     @classmethod
     def load(cls, path: str | Path) -> "StubBackend":
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "stub table") as fh:
             return cls(json.load(fh))
 
     def _entry(self, prompt: str) -> dict:
@@ -264,8 +310,7 @@ class StubBackend(ProbeBackend):
             raise MalformedResponseError("stub entry has no steps")
         steps: list[StepDistribution] = []
         for idx, raw in enumerate(raw_steps[: cfg.max_tokens], 1):
-            entries = _sorted_entries(raw["top_logprobs"], cfg.top_k)
-            steps.append(StepDistribution(idx, entries, entries[0][0]))
+            steps.append(StepDistribution.from_logprobs(idx, raw["top_logprobs"], cfg.top_k))
             if raw.get("eos"):
                 return Rollout(tuple(steps), "eos")
         # A table that runs out before the cap ended generation there.
@@ -550,10 +595,11 @@ class HttpBackend(ProbeBackend):
         for idx, (tok, tok_lp, alts) in enumerate(zip(tokens, token_lps, top_lps), 1):
             if alts is None or tok_lp is None:
                 raise MalformedResponseError(f"missing logprobs at step {idx}")
-            raw = {str(t): float(lp) for t, lp in alts.items()}
-            raw.setdefault(str(tok), float(tok_lp))
-            entries = _sorted_entries(raw, cfg.top_k)
-            steps.append(StepDistribution(idx, entries, str(tok)))
+            tok = str(tok)
+            if type(tok_lp) not in _NUMBER:
+                raise ValueError(f"logprob of {tok!r} is not a number: {tok_lp!r}")
+            raw = alts if tok in alts else {**alts, tok: tok_lp}
+            steps.append(StepDistribution.from_logprobs(idx, raw, cfg.top_k, tok))
         # Any finish reason but the length cap is the service's
         # end-of-generation signal.
         cut = choice.get("finish_reason") == "length"

@@ -2,6 +2,7 @@
 and the report tables (Pareto dominance, NDCG-F1 correlation)."""
 
 import csv
+import errno
 import gzip
 import json
 import os
@@ -121,13 +122,23 @@ class TestIndexCommand:
         corpus = tmp_path / "nope.jsonl"
         assert run_cli("index", "--corpus", corpus, "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(corpus) in err
+        assert err.startswith(f"error: cannot read corpus file {corpus}: ")
 
     def test_directory_as_corpus_fails(self, tmp_path, capsys):
         out = tmp_path / "x.idx"
         assert run_cli("index", "--corpus", tmp_path, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(tmp_path) in err
+        assert err.startswith(f"error: cannot read corpus file {tmp_path}: ")
+        assert not out.exists()
+
+    def test_binary_corpus_fails(self, tmp_path, capsys):
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "x.idx"
+        corpus.write_bytes(NOT_UTF8)
+        assert run_cli("index", "--corpus", corpus, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read corpus file {corpus}: 'utf-8' codec can't decode byte "
+            "0x8b in position 1: invalid start byte\n"
+        )
         assert not out.exists()
 
 
@@ -366,21 +377,28 @@ def test_readme_quick_start(tmp_path):
     assert float(igp["tk"]) < float(none["tk"])
 
 
-def run_walkthrough(igp_command, out):
-    """``scripts/walkthrough.sh`` with this interpreter first on PATH and the
-    package under test importable; returns the exit code and the output.
-    The output goes to a file, not a pipe, so an endpoint left running
-    cannot hold the call open."""
-    root = Path(__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def package_env():
+    """The environment with this interpreter first on PATH and the package
+    under test importable."""
     src = str(Path(igp.cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["PATH"] = os.pathsep.join([str(Path(sys.executable).parent), env.get("PATH", "")])
+    return env
+
+
+def run_walkthrough(igp_command, out):
+    """``scripts/walkthrough.sh`` under ``package_env``; returns the exit code
+    and the output. The output goes to a file, not a pipe, so an endpoint
+    left running cannot hold the call open."""
     log = out.parent / "walkthrough.log"
     with open(log, "w", encoding="utf-8") as fh:
         code = subprocess.call(
-            ["sh", str(root / "scripts" / "walkthrough.sh"), igp_command, str(out)],
-            env=env, stdout=fh, stderr=subprocess.STDOUT, timeout=300,
+            ["sh", str(ROOT / "scripts" / "walkthrough.sh"), igp_command, str(out)],
+            env=package_env(), stdout=fh, stderr=subprocess.STDOUT, timeout=300,
         )
     return code, log.read_text(encoding="utf-8")
 
@@ -391,6 +409,23 @@ def test_walkthrough_script(tmp_path):
     assert code == 0, output
     assert output.endswith("walkthrough: ok\n")
     assert (tmp_path / "demo" / "report" / "correlation.csv").is_file()
+
+
+def test_benchmark_finds_every_function_it_wraps(miniworld, tmp_path):
+    # perfbench/child.py wraps igp functions by name, all of them when
+    # traced, and exits 3 when one is missing. About 0.15 s: one process
+    # start and one index build of the mini world.
+    stats = tmp_path / "stats.json"
+    result = subprocess.run(
+        [
+            sys.executable, str(ROOT / "perfbench" / "child.py"), "--stats", str(stats),
+            "--trace", "1", "--", "index", "--corpus", str(miniworld.corpus_path),
+            "--out", str(tmp_path / "bm25.idx"),
+        ],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(stats.read_text(encoding="utf-8"))["spans"]
 
 
 def test_walkthrough_stops_at_the_first_failure_and_stops_its_endpoint(tmp_path):
@@ -550,8 +585,16 @@ class TestSweepCommand:
 
 
 # Stand-ins for the paths a refusal's test makes: a directory, a file that
-# does not exist, and the dataset with its first query repeated at the end.
-DIRECTORY, MISSING, REPEATED_ID = "<directory>", "<missing>", "<repeated id>"
+# does not exist, a file that is not UTF-8 (the start of a gzip stream), and
+# the dataset with its first query repeated at the end.
+DIRECTORY, MISSING, BINARY = "<directory>", "<missing>", "<binary>"
+REPEATED_ID = "<repeated id>"
+NOT_UTF8 = b"\x1f\x8b\x08\x00"
+# The role each input file is named by when it cannot be read.
+INPUT_ROLES = {
+    "--index": "index", "--dataset": "dataset", "--corpus": "corpus",
+    "--qrels": "qrels", "--stub": "stub table",
+}
 SWEEP_FLAGS = {"--param", "--values", "--param2", "--values2"}
 
 # Each refusal edits the flags of world_args (and of the sweep's tp axis):
@@ -618,12 +661,25 @@ REFUSALS = {
         "error: {path}:11: duplicate query id 'q0' (first on line 1)\n",
     ),
     **{
-        f"{flag[2:]}-{kind}": ({flag: stand_in}, f"{reason}: '{{path}}'")
-        for flag in ("--index", "--dataset", "--corpus", "--qrels", "--stub")
-        for kind, stand_in, reason in (
-            ("missing", MISSING, "No such file or directory"),
-            ("directory", DIRECTORY, "Is a directory"),
+        f"{flag[2:]}-{kind}": (
+            {flag: stand_in},
+            f"error: cannot read {role} file {{path}}: [Errno {code}] {reason}: '{{path}}'\n",
         )
+        for flag, role in INPUT_ROLES.items()
+        for kind, stand_in, code, reason in (
+            ("missing", MISSING, errno.ENOENT, "No such file or directory"),
+            ("directory", DIRECTORY, errno.EISDIR, "Is a directory"),
+        )
+    },
+    # The run reads passage texts from the index, so it opens the corpus
+    # without decoding it.
+    **{
+        f"{flag[2:]}-binary": (
+            {flag: BINARY},
+            f"error: cannot read {INPUT_ROLES[flag]} file {{path}}: 'utf-8' codec can't "
+            "decode byte 0x8b in position 1: invalid start byte\n",
+        )
+        for flag in ("--dataset", "--qrels", "--stub")
     },
     "grid-point": ({"--param": "topk", "--values": "4,1"}, "top_k must be >= 2"),
     "empty-grid": ({"--values": ","}, "error: sweep grid is empty\n"),
@@ -675,6 +731,9 @@ class TestBadRunInputs:
                 value = path = tmp_path
             elif value == MISSING:
                 value = path = tmp_path / "missing"
+            elif value == BINARY:
+                value = path = tmp_path / "binary"
+                path.write_bytes(NOT_UTF8)
             elif value == REPEATED_ID:
                 lines = miniworld.dataset_path.read_text(encoding="utf-8").splitlines()
                 value = path = tmp_path / "dataset.jsonl"

@@ -15,9 +15,10 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import steps_from_profile
+import igp.uncertainty as uncertainty
 from igp.core import CandidateSet, Passage, Query
 from igp.probe import (
     _GREEDY_TOLERANCE,
@@ -31,7 +32,6 @@ from igp.probe import (
     TransportError,
     UnknownPromptError,
     UnsupportedCapabilityError,
-    _sorted_entries,
 )
 from igp.select import BaselineUnavailableError, qlm_rerank
 
@@ -101,6 +101,18 @@ def reference_sorted_entries(raw, k):
     return tuple(sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))[:k])
 
 
+def reference_step(raw, k, chosen=None):
+    """``StepDistribution.from_logprobs`` by sort, cut and the checked
+    constructor. A NaN anywhere in the map is refused, since no order ranks
+    it."""
+    if any(lp != lp for lp in raw.values()):
+        raise ValueError("logprobs must not be NaN or +inf")
+    entries = reference_sorted_entries(raw, k)
+    if chosen is None and entries:
+        chosen = entries[0][0]
+    return StepDistribution(1, entries, chosen)
+
+
 # Few values, so ties are common; signed zeros, the infinities, two
 # neighbouring floats, and logprobs just within and just outside the greedy
 # tolerance of 0.
@@ -151,7 +163,73 @@ class TestStepBuildMatchesReference:
             tokens = rng.sample("abcdefgh", rng.randint(1, 8))
             raw = {tok: rng.choice(finite) for tok in tokens}
             k = rng.randint(1, 9)
-            assert _sorted_entries(raw, k) == reference_sorted_entries(raw, k)
+            built = StepDistribution.from_logprobs(1, raw, k)
+            assert built.entries == reference_sorted_entries(raw, k)
+
+    @given(
+        raw=st.dictionaries(
+            st.sampled_from("abcdef"),
+            st.sampled_from((*STEP_LOGPROBS, math.nan, 0, -1)),
+            max_size=6,
+        ),
+        k=st.integers(min_value=1, max_value=7),
+        chosen=st.none() | st.sampled_from([*STEP_TOKENS, "zz"]),
+    )
+    # A maximal chosen token that the width cuts.
+    @example(raw={"a": 0.0, "b": 0.0}, k=1, chosen="b")
+    def test_builder_matches_the_reference(self, raw, k, chosen):
+        # ``chosen`` None is a stub step, whose chosen token is the first.
+        try:
+            built = StepDistribution.from_logprobs(1, raw, k, chosen)
+        except ValueError as exc:
+            assert outcome(lambda: reference_step(raw, k, chosen)) == str(exc)
+            return
+        reference = reference_step(raw, k, chosen)
+        assert built == reference
+        assert all(type(lp) is float for _, lp in built.entries)
+        terms = outcome(lambda: uncertainty._fill_nu_terms(built))
+        assert terms == outcome(lambda: uncertainty._fill_nu_terms(reference))
+        if terms is None:
+            assert [[x.hex() for x in column] for column in built._nu_terms] == [
+                [x.hex() for x in column] for column in reference._nu_terms
+            ]
+
+    @pytest.mark.parametrize(
+        "value", [None, True, "-0.5", [-0.5]], ids=["null", "true", "str", "list"]
+    )
+    def test_logprob_that_is_not_a_number_fails_a_stub_rollout(self, value):
+        backend = stub({"p": {"steps": [{"top_logprobs": {"a": value, "b": -1.0}}]}})
+        message = f"logprob of 'a' is not a number: {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            backend.greedy_rollout("p", CFG)
+
+    @pytest.mark.parametrize(
+        "token_lp, alternatives, message",
+        [
+            (-0.1, {"a": -0.1, "b": None}, "logprob of 'b' is not a number: None"),
+            (-0.1, {"a": -0.1, "b": True}, "logprob of 'b' is not a number: True"),
+            (True, {"a": -0.1, "b": -2.0}, "logprob of 'a' is not a number: True"),
+        ],
+        ids=["null", "true", "true-token-logprob"],
+    )
+    def test_logprob_that_is_not_a_number_fails_an_http_rollout(
+        self, token_lp, alternatives, message
+    ):
+        body = completion_body(["a"], [token_lp], [alternatives])
+        backend, transport = http_backend([(200, body)])
+        with pytest.raises(MalformedResponseError, match=f"^{re.escape(message)}$"):
+            backend.greedy_rollout("p", CFG)
+        assert len(transport.payloads) == 1
+
+    def test_integer_logprobs_give_float_entries(self):
+        # The second step's token is not among its alternatives.
+        body = completion_body(["a", "c"], [0, -1], [{"a": 0, "b": -2}, {"b": -3}])
+        backend, _ = http_backend([(200, body)])
+        rollout = backend.greedy_rollout("p", CFG)
+        assert [step.entries for step in rollout.steps] == [
+            (("a", 0.0), ("b", -2.0)), (("c", -1.0), ("b", -3.0))
+        ]
+        assert all(type(lp) is float for step in rollout.steps for _, lp in step.entries)
 
     def test_nan_in_the_kept_entries_fails_a_stub_rollout(self):
         backend = stub({"p": {"steps": [{"top_logprobs": {"a": -0.1, "b": math.nan}}]}})
@@ -903,6 +981,7 @@ MALFORMED = {
     "logprobs list": ("rollout", dict(choice(0, ["a"]), logprobs=[-0.1])),
     "top_logprobs step list": ("rollout", rollout_choice(top_logprobs=[{"a": -0.1}, ["b"]])),
     "string token_logprobs entry": ("rollout", rollout_choice(token_logprobs=[-0.1, "high"])),
+    "string top_logprobs entry": ("rollout", rollout_choice(top_logprobs=[{"a": -0.1}, {"b": "low"}])),
     "string echo logprob": ("force", echo(token_logprobs=[None, "low"])),
 }
 # A choice of the right types that breaks the protocol, the call that reads
